@@ -28,7 +28,9 @@ import numpy as np
 from . import __version__, graphs, presets, reference
 from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, load_config
 from .criteria import (
+    evaluate,
     full_inseparability_report,
+    optimal_gains_numeric,
     realize,
     resolve_gains,
     threshold_r,
@@ -170,7 +172,8 @@ def cmd_simulate(args) -> int:
     label = _graph_label(config)
     unitary = config.build_unitary()
     pattern = config.simulation_pattern()
-    state = config.build_state()
+    loss = config.simulation_loss()
+    state = presets.cluster_state(unitary, pattern, loss=loss)
     vectors = presets.nullifier_vectors(config.graph)
     noises = excess_noise_decomposition(unitary, pattern, vectors)
 
@@ -192,7 +195,6 @@ def cmd_simulate(args) -> int:
             }
         )
 
-    loss = config.simulation_loss()
     payload = {
         "graph": label,
         "simulated_r": list(pattern.rs),
@@ -324,10 +326,8 @@ def cmd_sweep(args) -> int:
         for r in grid:
             state = config.build_state(r=float(r))
             for criterion in criteria:
-                unit = full_inseparability_report([criterion], state, unit_gains(criterion))
-                row_unit = unit.results[0]
-                opt_gains = resolve_gains([criterion], "optimal", state=state)
-                row_opt = full_inseparability_report([criterion], state, opt_gains).results[0]
+                row_unit = evaluate(criterion, state, unit_gains(criterion))
+                row_opt = evaluate(criterion, state, optimal_gains_numeric(criterion, state))
                 writer.writerow(
                     [
                         f"{r:.10g}",
@@ -401,7 +401,7 @@ def cmd_sample(args) -> int:
         for criterion in criteria:
             for side in ("u", "v"):
                 terms = criterion.u if side == "u" else criterion.v
-                vec = realize(terms, criterion.n, gains)
+                vec = realize(terms, criterion.n, gains[criterion.cid])
                 analytic = quadrature_variance(state, vec)
                 est = estimate_variance(batch, vec)
                 checks.append(

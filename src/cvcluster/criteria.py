@@ -280,77 +280,61 @@ def optimal_gains_analytic(r: float) -> dict[str, float]:
     return gains
 
 
-def optimal_gains_numeric(
-    criterion: Criterion,
-    state: GaussianState,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> dict[str, float]:
-    """Minimise the criterion's variance sum over its gain slots.
+def optimal_gains_numeric(criterion: Criterion, state: GaussianState) -> dict[str, float]:
+    """Exact minimiser of the criterion's variance sum over its gain slots.
 
-    The variance sum is an exact quadratic in each slot, so each coordinate
-    update lands on the slot's conditional minimum using three function
-    values; the slots are cycled until the joint update is below ``tol``.
+    Each side is affine in the gains, c(g) = c(0) + C g, so the variance sum
+    is a quadratic whose stationary point solves one linear system,
+    (sum C^T S C) g = -sum C^T S c(0), summed over both sides with S the
+    state covariance.  A singular system or a non-finite solution raises.
     """
     names = criterion.gain_names
-    gains = {name: 1.0 for name in names}
-
-    def lhs(g: Mapping[str, float]) -> float:
-        u = quadrature_variance(state, realize(criterion.u, criterion.n, g))
-        v = quadrature_variance(state, realize(criterion.v, criterion.n, g))
-        total = u + v
-        if not np.isfinite(total):
-            raise RuntimeError("variance sum is not finite")
-        return total
-
-    for _ in range(max_iter):
-        largest_move = 0.0
-        for name in names:
-            g0 = gains[name]
-            lo = lhs({**gains, name: g0 - 1.0})
-            mid = lhs(gains)
-            hi = lhs({**gains, name: g0 + 1.0})
-            curvature = hi - 2.0 * mid + lo
-            if curvature <= 0.0:
-                if abs(curvature) < 1e-12 and abs(hi - lo) < 1e-12:
-                    continue  # slot has no effect on this state
-                raise RuntimeError(f"variance sum is not convex in slot {name!r}")
-            new = g0 - 0.5 * (hi - lo) / curvature
-            gains[name] = new
-            largest_move = max(largest_move, abs(new - g0))
-        if largest_move < tol:
-            break
-    return gains
+    zero = dict.fromkeys(names, 0.0)
+    matrix = np.zeros((len(names), len(names)))
+    rhs = np.zeros(len(names))
+    for terms in (criterion.u, criterion.v):
+        c0 = realize(terms, criterion.n, zero)
+        rows = np.array(
+            [realize(terms, criterion.n, {**zero, name: 1.0}) - c0 for name in names]
+        ).reshape(len(names), c0.size)
+        matrix += rows @ state.cov @ rows.T
+        rhs -= rows @ state.cov @ c0
+    try:
+        solution = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"gain system of criterion {criterion.cid} is singular") from exc
+    if not np.all(np.isfinite(solution)):
+        raise RuntimeError(f"optimal gains of criterion {criterion.cid} are not finite")
+    return {name: float(g) for name, g in zip(names, solution)}
 
 
 def resolve_gains(
     criteria: Iterable[Criterion],
     spec,
     state: GaussianState | None = None,
-) -> dict[str, float]:
-    """Turn a gain request into a concrete slot table.
+) -> dict[str, dict[str, float]]:
+    """Turn a gain request into one slot table per criterion, keyed by ``cid``.
 
-    ``spec`` may be "unit", "optimal" (requires ``state``; numeric optimum of
-    each criterion, merged) or a mapping of slot overrides on top of unit
-    gains.
+    ``spec`` may be "unit", "optimal" (requires ``state``; every criterion
+    gets the exact minimiser of its own variance sum, so a slot shared by two
+    criteria may take a different value in each) or a mapping of slot
+    overrides on top of unit gains, applied to every criterion with that slot.
     """
     criteria = list(criteria)
-    gains = unit_gains(criteria)
-    if spec == "unit":
-        return gains
     if spec == "optimal":
         if state is None:
             raise ValueError("optimal gains need a state to optimise against")
-        for c in criteria:
-            gains.update(optimal_gains_numeric(c, state))
-        return gains
-    if isinstance(spec, Mapping):
-        unknown = set(spec) - set(gains)
+        return {c.cid: optimal_gains_numeric(c, state) for c in criteria}
+    if spec == "unit":
+        overrides = {}
+    elif isinstance(spec, Mapping):
+        unknown = set(spec) - set(unit_gains(criteria))
         if unknown:
             raise ValueError(f"unknown gain slots: {sorted(unknown)}")
-        gains.update({k: float(v) for k, v in spec.items()})
-        return gains
-    raise ValueError(f"gain spec must be 'unit', 'optimal' or a mapping, got {spec!r}")
+        overrides = {k: float(v) for k, v in spec.items()}
+    else:
+        raise ValueError(f"gain spec must be 'unit', 'optimal' or a mapping, got {spec!r}")
+    return {c.cid: {name: overrides.get(name, 1.0) for name in c.gain_names} for c in criteria}
 
 
 def threshold_r(
@@ -404,10 +388,14 @@ def threshold_r(
 def full_inseparability_report(
     criteria: Iterable[Criterion],
     state: GaussianState,
-    gains: GainSet,
+    gains: Mapping[str, GainSet],
 ) -> InseparabilityReport:
-    """Evaluate a whole criteria set; the verdict requires every inequality."""
-    results = tuple(evaluate(c, state, gains) for c in criteria)
+    """Evaluate a whole criteria set; the verdict requires every inequality.
+
+    ``gains`` holds one slot table per criterion, keyed by ``cid``, as
+    returned by :func:`resolve_gains`.
+    """
+    results = tuple(evaluate(c, state, gains[c.cid]) for c in criteria)
     return InseparabilityReport(
         results=results,
         all_satisfied=all(r.satisfied for r in results),

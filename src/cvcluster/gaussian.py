@@ -91,8 +91,11 @@ class GaussianState:
             raise ValueError("covariance must be symmetric")
         n = cov.shape[0] // 2
         # Uncertainty bound: cov + (i/4) Omega must be positive semidefinite.
+        # Rounding in the eigenvalues grows with the largest entry, so the
+        # tolerance does too; states of order one keep the 1e-10 floor.
         bound = cov + 0.25j * omega(n)
-        if np.min(np.linalg.eigvalsh(bound)) < -1e-10:
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(cov))))
+        if np.min(np.linalg.eigvalsh(bound)) < -tol:
             raise ValueError("covariance violates the uncertainty bound")
 
     @property

@@ -60,9 +60,6 @@ class Graph:
                 out.add(i)
         return out
 
-    def degree(self, a: int) -> int:
-        return len(self.neighbors(a))
-
 
 @dataclass(frozen=True)
 class Nullifier:
@@ -74,14 +71,6 @@ class Nullifier:
 
     mode: int
     x_modes: tuple[int, ...]
-
-    @property
-    def p_coeff(self) -> float:
-        return 1.0
-
-    @property
-    def x_coeffs(self) -> dict[int, float]:
-        return {b: -1.0 for b in self.x_modes}
 
     def terms(self) -> list[tuple[int, str, float]]:
         """Coefficient list as (mode, quadrature, coefficient) triples."""

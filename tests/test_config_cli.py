@@ -1,10 +1,13 @@
+import csv
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from cvcluster.cli import main
 from cvcluster.config import ConfigError, load_config, parse_config
+from cvcluster.criteria import evaluate, optimal_gains_numeric
 
 from expected import CHAIN8_UNITARY, DIAMOND8_UNITARY
 
@@ -199,6 +202,35 @@ class TestCriteriaCommand:
         payload = json.loads((tmp_path / "criteria.json").read_text())
         by_id = {row["id"]: row for row in payload["criteria"]}
         assert by_id["4e"]["gains"]["g_D6"] == pytest.approx(0.35)
+
+    def test_optimal_gains_are_per_criterion(self, tmp_path):
+        # Slots such as g_L3 belong to several chain criteria; under unequal
+        # per-mode loss each criterion has its own optimum for them.
+        raw = json.loads(
+            resources.files("cvcluster").joinpath("configs/linear8_physical.json").read_text()
+        )
+        raw["loss"] = {"eta": [0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6]}
+        path = tmp_path / "per_mode_eta.json"
+        path.write_text(json.dumps(raw))
+        out = str(tmp_path / "out")
+        assert main(["criteria", "--config", str(path), "--out", out, "--gains", "optimal"]) == 0
+        assert main(["sweep", "--config", str(path), "--out", out]) == 0
+
+        config = load_config(path)
+        state = config.build_state()
+        rows = json.loads((tmp_path / "out" / "criteria.json").read_text())["criteria"]
+        with open(tmp_path / "out" / "sweep.csv", newline="") as handle:
+            swept = {
+                row["criterion"]: float(row["lhs_optimal"])
+                for row in csv.DictReader(handle)
+                if row["r"] == "0.5"
+            }
+        assert [row["id"] for row in rows] == [c.cid for c in config.criteria()]
+        for criterion, row in zip(config.criteria(), rows):
+            expected = evaluate(criterion, state, optimal_gains_numeric(criterion, state))
+            assert row["lhs"] == pytest.approx(expected.lhs, abs=1e-12), criterion.cid
+            assert row["lhs"] == pytest.approx(swept[criterion.cid], abs=1e-12), criterion.cid
+        assert rows[0]["lhs"] == pytest.approx(0.49999, abs=1e-5)
 
     def test_bad_gains_flag(self, tmp_path):
         assert (

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvcluster import graphs, presets
 from cvcluster.criteria import (
@@ -17,7 +19,7 @@ from cvcluster.criteria import (
     unit_gains,
     vlf_bound,
 )
-from cvcluster.gaussian import quadrature_variance, vacuum_state
+from cvcluster.gaussian import LossModel, quadrature_variance, vacuum_state
 
 
 def linear_state(r):
@@ -167,7 +169,7 @@ class TestOptimalGains:
     def test_numeric_matches_analytic_single_slot(self):
         c = linear_criteria()[0]
         numeric = optimal_gains_numeric(c, linear_state(0.5))
-        assert numeric["g_L3"] == pytest.approx(optimal_gains_analytic(0.5)["g_L3"], abs=1e-6)
+        assert numeric["g_L3"] == pytest.approx(optimal_gains_analytic(0.5)["g_L3"], abs=1e-12)
 
     def test_numeric_zero_squeezing(self):
         c = linear_criteria()[0]
@@ -185,7 +187,34 @@ class TestOptimalGains:
         for c in linear_criteria() + diamond_criteria():
             numeric = optimal_gains_numeric(c, builder_for(c)(r))
             for name, value in numeric.items():
-                assert value == pytest.approx(analytic[name], abs=1e-6), (c.cid, name)
+                assert value == pytest.approx(analytic[name], abs=1e-12), (c.cid, name)
+
+    @given(
+        name=st.sampled_from(["linear8", "diamond8"]),
+        r=st.floats(0.0, 2.0),
+        etas=st.lists(st.floats(0.5, 1.0), min_size=8, max_size=8),
+        shifts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    )
+    def test_solved_gains_minimise_under_per_mode_loss(self, name, r, etas, shifts):
+        state = presets.cluster_state(
+            presets.builtin_unitary(name),
+            presets.experiment_pattern(r),
+            loss=LossModel(tuple(etas)),
+        )
+        step = 1e-3
+        for c in presets.builtin_criteria(name):
+            gains = optimal_gains_numeric(c, state)
+            best = evaluate(c, state, gains).lhs
+            tol = 1e-12 * max(1.0, best)
+            # The sum is quadratic in the gains, so central differences are
+            # exact up to rounding: the gradient vanishes at the solution.
+            for slot in c.gain_names:
+                up = evaluate(c, state, {**gains, slot: gains[slot] + step}).lhs
+                down = evaluate(c, state, {**gains, slot: gains[slot] - step}).lhs
+                assert abs(up - down) / (2 * step) < 1e-9 * max(1.0, best), (c.cid, slot)
+            assert best <= evaluate(c, state, unit_gains(c)).lhs + tol, c.cid
+            moved = {slot: g + d for (slot, g), d in zip(gains.items(), shifts)}
+            assert best <= evaluate(c, state, moved).lhs + tol, c.cid
 
     def test_lhs_convex_in_each_gain(self):
         state = linear_state(0.4)
@@ -228,13 +257,15 @@ class TestThresholds:
 class TestReports:
     def test_linear_all_satisfied_at_effective_squeezing(self):
         criteria = linear_criteria()
-        report = full_inseparability_report(criteria, linear_state(0.30), unit_gains(criteria))
+        gains = resolve_gains(criteria, "unit")
+        report = full_inseparability_report(criteria, linear_state(0.30), gains)
         assert report.all_satisfied
         assert len(report.results) == 7
 
     def test_vacuum_fails_everywhere(self):
         criteria = linear_criteria()
-        report = full_inseparability_report(criteria, vacuum_state(8), unit_gains(criteria))
+        gains = resolve_gains(criteria, "unit")
+        report = full_inseparability_report(criteria, vacuum_state(8), gains)
         assert not report.all_satisfied
         assert all(not r.satisfied for r in report.results)
 

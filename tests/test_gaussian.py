@@ -251,3 +251,19 @@ def test_state_validation():
         GaussianState(cov=np.array([[0.25, 0.1], [0.0, 0.25]]))  # not symmetric
     with pytest.raises(ValueError):
         GaussianState(cov=np.diag([0.01, 0.01]))  # beats the uncertainty bound
+
+
+@pytest.mark.parametrize("r", [7.0, 8.0, 10.0])
+def test_large_squeezing_accepted(r):
+    # Rounding in the uncertainty check grows with the covariance entries.
+    state = chain8_state(r)
+    assert np.max(np.abs(state.cov)) > 1e5
+
+
+def test_uncertainty_check_still_rejects_invalid_states():
+    with pytest.raises(ValueError):
+        GaussianState(cov=0.2 * np.eye(4))
+    with pytest.raises(ValueError):
+        # Mode 1 has Var x Var p = 0.02 < 1/16; the minimum eigenvalue of
+        # cov + (i/4) Omega is -4.25e-6 at a covariance scale of 1e4.
+        GaussianState(cov=np.diag([1e4, 0.25, 2e-6, 0.25]))

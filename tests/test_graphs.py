@@ -105,15 +105,18 @@ def test_nullifier_isolated_node():
     g = graphs.Graph(n=2, edges=frozenset())
     nf = graphs.nullifiers(g)[0]
     assert nf.terms() == [(1, "p", 1.0)]
-    assert nf.x_coeffs == {}
+    assert g.neighbors(1) == set()
 
 
 def test_nullifier_count_matches_degree():
     for g in (graphs.linear_chain(8), graphs.two_diamond()):
         for nf in graphs.nullifiers(g):
-            assert len(nf.x_modes) == g.degree(nf.mode)
-            assert nf.p_coeff == 1.0
-            assert all(v == -1.0 for v in nf.x_coeffs.values())
+            p_terms = [(m, c) for m, q, c in nf.terms() if q == "p"]
+            x_terms = [(m, c) for m, q, c in nf.terms() if q == "x"]
+            assert p_terms == [(nf.mode, 1.0)]
+            assert len(x_terms) == len(g.neighbors(nf.mode))
+            assert {m for m, _ in x_terms} == g.neighbors(nf.mode)
+            assert all(c == -1.0 for _, c in x_terms)
 
 
 def test_published_nullifier_lists():
