@@ -98,25 +98,18 @@ def cmd_compile(args) -> int:
     out = Path(args.out)
     label = _graph_label(config)
 
-    if config.graph_name == "diamond8":
-        chain = graphs.linear_chain(8)
-        a = graphs.adjacency(chain)
-        gram = inverse_gram(a)
-        factor = gram_factor_sequential(gram)
-        unitary = presets.diamond8_unitary()
-        gram_payload = {
-            "graph": label,
-            "base_graph": "linear8",
-            "matrix": _real_json(factor),
-            "local_output_phases": _complex_json(DIAMOND_LOCAL_PHASES),
-        }
-    else:
+    if config.graph_name is None:
         a = graphs.adjacency(config.graph)
-        gram = inverse_gram(a)
-        factor = gram_factor_sequential(gram)
-        base = assemble_unitary(a, factor)
-        unitary = input_basis_convert(base, config.x_squeezed_inputs)
-        gram_payload = {"graph": label, "matrix": _real_json(factor)}
+        factor = gram_factor_sequential(inverse_gram(a))
+        unitary = input_basis_convert(assemble_unitary(a, factor), config.x_squeezed_inputs)
+    else:
+        # Both builtin networks are built from the published chain factor.
+        factor = presets.chain8_factor()
+        unitary = presets.builtin_unitary(config.graph_name)
+    gram_payload = {"graph": label, "matrix": _real_json(factor)}
+    if config.graph_name == "diamond8":
+        gram_payload["base_graph"] = "linear8"
+        gram_payload["local_output_phases"] = _complex_json(DIAMOND_LOCAL_PHASES)
 
     _write_json(
         out / "unitary.json",
@@ -205,12 +198,11 @@ def cmd_simulate(args) -> int:
     if note:
         payload["note"] = note
     if loss is not None:
-        # Equivalent pure-squeezing magnitude of squeezed quadratures under loss.
-        eta = loss.etas[0]
-        r = config.pattern.rs[0]
-        payload["equivalent_pure_r"] = float(
-            -0.5 * np.log(eta * np.exp(-2.0 * r) + 1.0 - eta)
-        )
+        # Equivalent pure-squeezing magnitude of each squeezed input under loss.
+        payload["equivalent_pure_r"] = [
+            float(-0.5 * np.log(eta * np.exp(-2.0 * r) + 1.0 - eta))
+            for eta, r in zip(loss.etas, config.pattern.rs)
+        ]
     if config.graph_name is not None:
         table = (
             reference.REFERENCE_NOISE_TERMS_LINEAR

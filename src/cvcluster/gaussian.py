@@ -9,6 +9,7 @@ values; every function returns a new state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,11 +126,14 @@ def input_covariance(pattern: SqueezePattern) -> GaussianState:
     return GaussianState(cov=np.diag(diag))
 
 
+@lru_cache(maxsize=None)
 def omega(n: int) -> np.ndarray:
-    """Antisymmetric form [[0, I], [-I, 0]] in (x.., p..) ordering."""
+    """Antisymmetric form [[0, I], [-I, 0]] in (x.., p..) ordering (read-only)."""
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    return np.block([[zero, eye], [-eye, zero]])
+    form = np.block([[zero, eye], [-eye, zero]])
+    form.setflags(write=False)
+    return form
 
 
 def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:

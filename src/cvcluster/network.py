@@ -1,10 +1,11 @@
 """Compilation of cluster adjacency matrices into passive linear-optics networks.
 
 The compiler follows the Gram-factorisation route: for an adjacency matrix A,
-a real factor R with ``R @ R.T == inv(I + A @ A)`` is built row by row, and the
-network matrix is ``(I + 1j * A) @ R``.  Feeding mode k of that network with a
-phase-squeezed input suppresses the nullifier of mode k; multiplying column k
-by ``1j`` retargets it to an amplitude-squeezed input instead.
+a real factor R with ``R @ R.T == inv(I + A @ A)`` is the Cholesky factor taken
+in an outward row order, and the network matrix is ``(I + 1j * A) @ R``.
+Feeding mode k of that network with a phase-squeezed input suppresses the
+nullifier of mode k; multiplying column k by ``1j`` retargets it to an
+amplitude-squeezed input instead.
 
 All functions are pure and operate on plain numpy arrays.
 """
@@ -12,7 +13,6 @@ All functions are pure and operate on plain numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "compile_cluster_unitary",
     "chain8_transmissions",
     "chain8_element_sequence",
-    "CHAIN8_GRAM_INVERSE",
-    "CHAIN8_PIVOT_SIGNS",
     "DIAMOND_LOCAL_PHASES",
 ]
 
@@ -44,33 +42,13 @@ __all__ = [
 # matrices handled here are O(1), so an absolute scale is appropriate.
 DEFAULT_ATOL = 1e-12
 
-# Gram inverse inv(I + A^2) of the 8-mode chain, kept exact for reference.
-_CHAIN8_GRAM_FRACTIONS = [
-    [Fraction(21, 34), 0, Fraction(-4, 17), 0, Fraction(3, 34), 0, Fraction(-1, 34), 0],
-    [0, Fraction(13, 34), 0, Fraction(-5, 34), 0, Fraction(1, 17), 0, Fraction(-1, 34)],
-    [Fraction(-4, 17), 0, Fraction(8, 17), 0, Fraction(-3, 17), 0, Fraction(1, 17), 0],
-    [0, Fraction(-5, 34), 0, Fraction(15, 34), 0, Fraction(-3, 17), 0, Fraction(3, 34)],
-    [Fraction(3, 34), 0, Fraction(-3, 17), 0, Fraction(15, 34), 0, Fraction(-5, 34), 0],
-    [0, Fraction(1, 17), 0, Fraction(-3, 17), 0, Fraction(8, 17), 0, Fraction(-4, 17)],
-    [Fraction(-1, 34), 0, Fraction(1, 17), 0, Fraction(-5, 34), 0, Fraction(13, 34), 0],
-    [0, Fraction(-1, 34), 0, Fraction(3, 34), 0, Fraction(-4, 17), 0, Fraction(21, 34)],
-]
-
-CHAIN8_GRAM_INVERSE = np.array([[float(x) for x in row] for row in _CHAIN8_GRAM_FRACTIONS])
-
-# Pivot signs (one per solve step) that make the 8-mode chain factor assemble
-# into the published network matrix for that experiment.  Any other sign
-# choice differs only by a gauge (orthogonal right factor) and produces the
-# same physics.
-CHAIN8_PIVOT_SIGNS = (1, 1, -1, 1, 1, -1, 1, -1)
-
 # Local output phases turning the chain network into the two-diamond one.
 DIAMOND_LOCAL_PHASES = np.diag([-1, -1j, 1j, 1, 1, 1j, -1j, -1]).astype(complex)
 
 
 def is_symmetric(m: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.allclose(m, m.T, atol=atol)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.allclose(m, m.T, rtol=0.0, atol=atol)
 
 
 def is_unitary(u: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
@@ -121,19 +99,20 @@ def gram_factor_sequential(
 ) -> np.ndarray:
     """Factor a symmetric positive-definite matrix as ``R @ R.T == m``.
 
-    The rows of R are solved outward from the middle row, each new row keeping
-    only the minimal set of nonzero entries: the dot products with already
-    solved rows fix all but one unknown, and the row norm fixes the magnitude
-    of the last one (the pivot).  The pivot column order equals the row order
-    with the first two entries swapped, which reproduces the support pattern
-    of the published eight-mode chain factor.
+    R is the Cholesky factor of ``m`` with its rows taken in solve order,
+    outward from the middle row, so each new row keeps only the minimal set
+    of nonzero entries: the entries fixed by the rows solved before it, plus
+    one pivot.  The pivot column order equals the row order with the first
+    two entries swapped, which reproduces the support pattern of the
+    published eight-mode chain factor.
 
-    ``pivot_signs`` optionally supplies the sign of each pivot, one per solve
-    step.  By default pivots are non-negative, except that the Gram inverse of
-    the 8-mode chain is recognised and given the sign pattern whose assembled
-    network matches the published chain network matrix entry for entry.
+    ``pivot_signs`` gives the sign of each pivot, one per solve step, and
+    defaults to all +1.  Flipping a sign flips one column of R, which leaves
+    ``R @ R.T`` unchanged; a caller that must reproduce a published network
+    passes that network's signs.
     """
     m = np.asarray(m, dtype=float)
+    # Cholesky reads one triangle only, so asymmetry must be caught here.
     if not is_symmetric(m, atol=1e-10):
         raise ValueError("gram matrix must be symmetric")
     n = m.shape[0]
@@ -144,29 +123,19 @@ def gram_factor_sequential(
         cols[0], cols[1] = cols[1], cols[0]
 
     if pivot_signs is None:
-        if n == 8 and np.allclose(m, CHAIN8_GRAM_INVERSE, atol=1e-9):
-            pivot_signs = CHAIN8_PIVOT_SIGNS
-        else:
-            pivot_signs = (1,) * n
+        pivot_signs = (1,) * n
     if len(pivot_signs) != n:
         raise ValueError(f"need {n} pivot signs, got {len(pivot_signs)}")
 
-    # Lower-triangular solve in the permuted (solve-order) frame.
-    lower = np.zeros((n, n))
-    for k in range(n):
-        rk = rows[k]
-        for j in range(k):
-            partial = float(lower[k, :j] @ lower[j, :j])
-            lower[k, j] = (m[rk, rows[j]] - partial) / lower[j, j]
-        pivot_sq = m[rk, rk] - float(lower[k, :k] @ lower[k, :k])
-        if pivot_sq <= atol:
-            raise ValueError("matrix is not positive definite")
-        lower[k, k] = np.sqrt(pivot_sq)
+    try:
+        lower = np.linalg.cholesky(m[np.ix_(rows, rows)])
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("matrix is not positive definite") from exc
+    if np.any(np.diag(lower) ** 2 <= atol):
+        raise ValueError("matrix is not positive definite")
 
-    factor = np.zeros((n, n))
-    for k in range(n):
-        for j in range(k + 1):
-            factor[rows[k], cols[j]] = lower[k, j] * pivot_signs[j]
+    factor = np.empty((n, n))
+    factor[np.ix_(rows, cols)] = lower * np.asarray(pivot_signs, dtype=float)
     return factor
 
 
@@ -309,9 +278,11 @@ def compose_sequence(sequence, n: int) -> np.ndarray:
 def compile_cluster_unitary(adjacency_matrix: np.ndarray, x_squeezed_inputs=()) -> np.ndarray:
     """Full pipeline from adjacency matrix to network matrix.
 
-    The Gram inverse is factored sequentially, assembled with the adjacency
-    phases, and finally re-phased on the columns listed in
-    ``x_squeezed_inputs``.
+    The Gram inverse is factored with non-negative pivots, assembled with the
+    adjacency phases, and finally re-phased on the columns listed in
+    ``x_squeezed_inputs``.  Other pivot signs change only the signs of
+    columns, which leaves the cluster state unchanged; the published 8-mode
+    networks use their own signs and are built in ``presets``.
     """
     gram = inverse_gram(adjacency_matrix)
     factor = gram_factor_sequential(gram)
@@ -336,9 +307,10 @@ def chain8_element_sequence() -> list[NetworkElement]:
     """Splitter and phase sequence realising the 8-mode chain network.
 
     Listed in operator-product order (last element meets the input first);
-    ``compose_sequence`` of this list equals the matrix produced by
-    ``compile_cluster_unitary`` for the 8-mode chain with amplitude-squeezed
-    inputs on modes 1, 3, 5 and 7.
+    ``compose_sequence`` of this list equals the published chain network:
+    the Gram pipeline for the 8-mode chain with the published pivot signs and
+    amplitude-squeezed inputs on modes 1, 3, 5 and 7
+    (``presets.chain8_unitary``).
     """
     t = chain8_transmissions()
     return [

@@ -2,8 +2,8 @@
 
 Both networks take amplitude-squeezed inputs on modes 1, 3, 5, 7 and
 phase-squeezed inputs on modes 2, 4, 6, 8.  The chain network comes out of
-the Gram pipeline directly; the two-diamond network is the chain network
-followed by local output phases.
+the Gram pipeline with the published pivot signs; the two-diamond network is
+the chain network followed by local output phases.
 """
 
 from __future__ import annotations
@@ -24,10 +24,18 @@ from .gaussian import (
     symplectic_from_unitary,
 )
 from .criteria import Criterion, diamond_criteria, linear_criteria
-from .network import compile_cluster_unitary, diamond_from_linear
+from .network import (
+    assemble_unitary,
+    diamond_from_linear,
+    gram_factor_sequential,
+    input_basis_convert,
+    inverse_gram,
+)
 
 __all__ = [
     "X_SQUEEZED_INPUTS",
+    "CHAIN8_PIVOT_SIGNS",
+    "chain8_factor",
     "chain8_unitary",
     "diamond8_unitary",
     "experiment_pattern",
@@ -40,12 +48,27 @@ __all__ = [
 
 X_SQUEEZED_INPUTS = (1, 3, 5, 7)
 
+# Pivot signs (one per solve step) that make the 8-mode chain factor assemble
+# into the published network matrix for that experiment.  Any other sign
+# choice flips only columns of the network (a gauge) and produces the same
+# state.
+CHAIN8_PIVOT_SIGNS = (1, 1, -1, 1, 1, -1, 1, -1)
+
+
+@lru_cache(maxsize=None)
+def chain8_factor() -> np.ndarray:
+    """Gram factor of the 8-mode chain with the published pivot signs."""
+    a = graphs.adjacency(graphs.linear_chain(8))
+    factor = gram_factor_sequential(inverse_gram(a), pivot_signs=CHAIN8_PIVOT_SIGNS)
+    factor.setflags(write=False)
+    return factor
+
 
 @lru_cache(maxsize=None)
 def chain8_unitary() -> np.ndarray:
     """Network matrix of the 8-mode chain cluster experiment."""
     a = graphs.adjacency(graphs.linear_chain(8))
-    u = compile_cluster_unitary(a, x_squeezed_inputs=X_SQUEEZED_INPUTS)
+    u = input_basis_convert(assemble_unitary(a, chain8_factor()), X_SQUEEZED_INPUTS)
     u.setflags(write=False)
     return u
 

@@ -51,7 +51,7 @@ def test_acceptance_1_compiler_fidelity():
     gram_deviation = np.max(np.abs(gram - CHAIN8_GRAM_INVERSE))
     assert gram_deviation < 1e-14
 
-    factor = network.gram_factor_sequential(gram)
+    factor = network.gram_factor_sequential(gram, pivot_signs=presets.CHAIN8_PIVOT_SIGNS)
     u = network.input_basis_convert(
         network.assemble_unitary(a, factor), presets.X_SQUEEZED_INPUTS
     )

@@ -120,11 +120,15 @@ class TestCompileCommand:
         assert not (tmp_path / "elements.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["compile", "--config", "linear8", "--out", str(out1)])
-        main(["compile", "--config", "linear8", "--out", str(out2)])
-        for name in ("unitary.json", "gram_factor.json", "elements.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        for config in ("linear8", "diamond8", "linear8_physical", "diamond8_physical"):
+            out1, out2 = tmp_path / "a" / config, tmp_path / "b" / config
+            main(["compile", "--config", config, "--out", str(out1)])
+            main(["compile", "--config", config, "--out", str(out2)])
+            names = sorted(path.name for path in out1.iterdir())
+            assert {"unitary.json", "gram_factor.json"} <= set(names), config
+            assert names == sorted(path.name for path in out2.iterdir()), config
+            for name in names:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (config, name)
 
     def test_custom_graph_compiles(self, tmp_path):
         config = tmp_path / "triangle.json"
@@ -145,6 +149,35 @@ class TestCompileCommand:
         payload = json.loads((tmp_path / "o" / "simulate.json").read_text())
         assert "reference_term_mismatches" not in payload
         assert all(row["max_anti_coefficient"] < 1e-10 for row in payload["nullifiers"])
+
+    def test_custom_chain_is_a_gauge_of_the_published_network(self, tmp_path):
+        # The chain written out as a custom graph is compiled with default
+        # pivot signs: some columns of the published network flip sign, which
+        # leaves the state, and so every variance, unchanged.
+        config = tmp_path / "chain.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "graph": {"n": 8, "edges": [[k, k + 1] for k in range(1, 8)]},
+                    "squeeze": {"r": 0.5, "orientations": ["x", "p"] * 4},
+                    "loss": {"eta": 0.783},
+                }
+            )
+        )
+        custom, builtin = tmp_path / "custom", tmp_path / "builtin"
+        assert main(["compile", "--config", str(config), "--out", str(custom)]) == 0
+        unitary = read_complex(custom / "unitary.json")
+        assert np.max(np.abs(np.abs(unitary) - np.abs(CHAIN8_UNITARY))) < 1e-12
+        column_signs = np.sign(np.sum(np.conj(CHAIN8_UNITARY) * unitary, axis=0).real)
+        assert np.max(np.abs(unitary - CHAIN8_UNITARY * column_signs)) < 1e-12
+        assert np.any(column_signs < 0)
+
+        assert main(["simulate", "--config", str(config), "--out", str(custom)]) == 0
+        assert main(["simulate", "--config", "linear8_physical", "--out", str(builtin)]) == 0
+        rows = json.loads((custom / "simulate.json").read_text())["nullifiers"]
+        published = json.loads((builtin / "simulate.json").read_text())["nullifiers"]
+        for row, ref in zip(rows, published, strict=True):
+            assert row["variance"] == pytest.approx(ref["variance"], abs=1e-12)
 
 
 class TestCriteriaCommand:
@@ -375,4 +408,16 @@ def test_simulate_reports_mismatch_and_equivalent_r(tmp_path, capsys):
     assert payload["reference_term_mismatches"] == []
     # Loss on r = 0.50 squeezing is equivalent to ~0.34 pure squeezing,
     # a little above the quoted effective value of 0.30.
-    assert payload["equivalent_pure_r"] == pytest.approx(0.3416, abs=5e-4)
+    assert payload["equivalent_pure_r"] == pytest.approx([0.3416] * 8, abs=5e-4)
+
+
+def test_equivalent_pure_r_is_reported_per_mode(tmp_path):
+    etas = [0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6]
+    config = tmp_path / "per_mode.json"
+    config.write_text(json.dumps(base_config(loss={"eta": etas})))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "simulate.json").read_text())
+    expected = [-0.5 * np.log(eta * np.exp(-1.0) + 1.0 - eta) for eta in etas]
+    assert payload["equivalent_pure_r"] == pytest.approx(expected, abs=1e-12)
+    assert payload["equivalent_pure_r"][0] == pytest.approx(0.4588, abs=5e-5)
+    assert payload["equivalent_pure_r"][7] == pytest.approx(0.2384, abs=5e-5)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cvcluster import graphs, network
+from cvcluster import graphs, network, presets
 
 from expected import CHAIN8_GRAM_INVERSE, CHAIN8_UNITARY, DIAMOND8_UNITARY
 
@@ -16,7 +18,20 @@ def random_adjacency(rng, n):
 
 
 def compiled_chain8():
-    return network.compile_cluster_unitary(chain8_adjacency(), (1, 3, 5, 7))
+    a = chain8_adjacency()
+    factor = network.gram_factor_sequential(
+        network.inverse_gram(a), pivot_signs=presets.CHAIN8_PIVOT_SIGNS
+    )
+    return network.input_basis_convert(network.assemble_unitary(a, factor), (1, 3, 5, 7))
+
+
+def solve_order(n):
+    """Rows outward from the middle one, upper neighbour first; pivot columns
+    are the same order with the first two entries swapped."""
+    mid = (n + 1) // 2 - 1
+    rows = sorted(range(n), key=lambda i: (abs(i - mid), i < mid))
+    cols = rows[:2][::-1] + rows[2:]
+    return rows, cols
 
 
 class TestInverseGram:
@@ -86,12 +101,52 @@ class TestGramFactorSequential:
             network.gram_factor_sequential(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_explicit_pivot_signs_flip_columns(self):
-        base = network.gram_factor_sequential(CHAIN8_GRAM_INVERSE)
+        base = network.gram_factor_sequential(
+            CHAIN8_GRAM_INVERSE, pivot_signs=presets.CHAIN8_PIVOT_SIGNS
+        )
         flipped = network.gram_factor_sequential(
-            CHAIN8_GRAM_INVERSE, pivot_signs=tuple(-s for s in network.CHAIN8_PIVOT_SIGNS)
+            CHAIN8_GRAM_INVERSE, pivot_signs=tuple(-s for s in presets.CHAIN8_PIVOT_SIGNS)
         )
         assert np.allclose(flipped, -base, atol=1e-14)
         assert np.max(np.abs(flipped @ flipped.T - CHAIN8_GRAM_INVERSE)) < 1e-12
+
+    def test_default_pivots_non_negative_for_chain8(self):
+        # No input is special: the chain Gram inverse gets +1 pivots too.
+        factor = network.gram_factor_sequential(CHAIN8_GRAM_INVERSE)
+        rows, cols = solve_order(8)
+        assert all(factor[r, c] > 0 for r, c in zip(rows, cols))
+
+    def test_near_symmetric_matrix_rejected(self):
+        # Cholesky reads one triangle only; the symmetry check must not
+        # forgive an asymmetry of 5e-6 through a relative tolerance.
+        assert not network.is_symmetric(np.array([[0.0, 1.0], [1.0 + 5e-6, 0.0]]), atol=1e-12)
+        with pytest.raises(ValueError):
+            network.gram_factor_sequential(np.array([[2.0, 1.0], [1.0 + 5e-6, 2.0]]))
+
+    def test_wrong_pivot_sign_count_rejected(self):
+        with pytest.raises(ValueError):
+            network.gram_factor_sequential(np.eye(3), pivot_signs=(1, -1))
+
+    @given(
+        n=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 1.0),
+    )
+    def test_factor_properties_on_random_graphs(self, n, seed, density):
+        rng = np.random.default_rng(seed)
+        upper = np.triu((rng.random((n, n)) < density).astype(float), k=1)
+        a = upper + upper.T
+        signs = tuple(int(s) for s in rng.choice([-1, 1], size=n))
+        factor = network.gram_factor_sequential(network.inverse_gram(a), pivot_signs=signs)
+
+        gram = np.linalg.inv(np.eye(n) + a @ a)
+        assert np.max(np.abs(factor @ factor.T - gram)) <= 1e-12
+        rows, cols = solve_order(n)
+        for k in range(n):
+            assert all(factor[rows[k], cols[j]] == 0.0 for j in range(k + 1, n))
+        assert [int(np.sign(factor[r, c])) for r, c in zip(rows, cols)] == list(signs)
+        u = network.assemble_unitary(a, factor)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(n))) < 1e-12
 
 
 class TestAssembleUnitary:
