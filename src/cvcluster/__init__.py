@@ -36,6 +36,7 @@ from .gaussian import (
     input_covariance,
     qnl_variance,
     quadrature_variance,
+    squeezing_terms,
     symplectic_from_unitary,
     vacuum_state,
     variance_db,
@@ -45,6 +46,7 @@ from .criteria import (
     diamond_criteria,
     evaluate,
     full_inseparability_report,
+    lhs_curve,
     linear_criteria,
     optimal_gains_analytic,
     optimal_gains_numeric,

@@ -28,18 +28,19 @@ import numpy as np
 from . import __version__, graphs, presets, reference
 from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, load_config
 from .criteria import (
-    evaluate,
     full_inseparability_report,
-    optimal_gains_numeric,
+    lhs_curve,
     realize,
     resolve_gains,
     threshold_r,
     unit_gains,
+    vlf_bound,
 )
 from .gaussian import (
     excess_noise_decomposition,
     qnl_variance,
     quadrature_variance,
+    squeezing_terms,
     variance_db,
 )
 from .network import (
@@ -310,30 +311,30 @@ def cmd_sweep(args) -> int:
     r_min, r_max, steps = config.sweep
     grid = np.linspace(r_min, r_max, steps)
 
+    terms = squeezing_terms(
+        config.build_unitary(), config.pattern.orientations, config.simulation_loss()
+    )
+    # table[criterion, column, grid point], columns lhs_unit, lhs_optimal, bound.
+    table = np.array(
+        [
+            [lhs_curve(c, terms, grid, "unit"), lhs_curve(c, terms, grid, "optimal")]
+            + [np.full(steps, vlf_bound(c, unit_gains(c)))]
+            for c in criteria
+        ]
+    )
+
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "sweep.csv"
-    with open(csv_path, "w", newline="") as handle:
+    with open(out / "sweep.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["r", "criterion", "lhs_unit", "lhs_optimal", "bound"])
-        for r in grid:
-            state = config.build_state(r=float(r))
-            for criterion in criteria:
-                row_unit = evaluate(criterion, state, unit_gains(criterion))
-                row_opt = evaluate(criterion, state, optimal_gains_numeric(criterion, state))
-                writer.writerow(
-                    [
-                        f"{r:.10g}",
-                        criterion.cid,
-                        f"{row_unit.lhs:.12g}",
-                        f"{row_opt.lhs:.12g}",
-                        f"{row_unit.bound:.12g}",
-                    ]
-                )
+        for i, r in enumerate(grid):
+            for c, values in zip(criteria, table[:, :, i]):
+                writer.writerow([f"{r:.10g}", c.cid, *(f"{v:.12g}" for v in values)])
 
     thresholds = []
     for criterion in criteria:
-        computed = threshold_r(criterion, config.build_state, gain_mode="unit")
-        optimal = threshold_r(criterion, config.build_state, gain_mode="optimal")
+        computed = threshold_r(criterion, terms, gain_mode="unit")
+        optimal = threshold_r(criterion, terms, gain_mode="optimal")
         published = reference.PUBLISHED_UNIT_GAIN_THRESHOLDS.get(criterion.cid)
         entry = {
             "criterion": criterion.cid,
@@ -375,36 +376,23 @@ def cmd_sample(args) -> int:
     batch = sample_quadratures(state, args.n, args.seed)
 
     checks = []
-    for mode, vec in enumerate(presets.nullifier_vectors(config.graph), start=1):
+
+    def check(name, vec):
         analytic = quadrature_variance(state, vec)
         est = estimate_variance(batch, vec)
+        z = (est.estimate - analytic) / est.std_error
         checks.append(
-            {
-                "name": f"nullifier_{mode}",
-                "analytic": analytic,
-                "estimate": est.estimate,
-                "std_error": est.std_error,
-                "z": (est.estimate - analytic) / est.std_error,
-            }
+            dict(name=name, analytic=analytic, estimate=est.estimate, std_error=est.std_error, z=z)
         )
+
+    for mode, vec in enumerate(presets.nullifier_vectors(config.graph), start=1):
+        check(f"nullifier_{mode}", vec)
     if config.graph_name is not None:
         criteria = config.criteria()
         gains = resolve_gains(criteria, _load_gain_override(args, config), state=state)
-        for criterion in criteria:
-            for side in ("u", "v"):
-                terms = criterion.u if side == "u" else criterion.v
-                vec = realize(terms, criterion.n, gains[criterion.cid])
-                analytic = quadrature_variance(state, vec)
-                est = estimate_variance(batch, vec)
-                checks.append(
-                    {
-                        "name": f"{criterion.cid}_{side}",
-                        "analytic": analytic,
-                        "estimate": est.estimate,
-                        "std_error": est.std_error,
-                        "z": (est.estimate - analytic) / est.std_error,
-                    }
-                )
+        for c in criteria:
+            check(f"{c.cid}_u", realize(c.u, c.n, gains[c.cid]))
+            check(f"{c.cid}_v", realize(c.v, c.n, gains[c.cid]))
 
     max_z = max(abs(c["z"]) for c in checks)
     _write_json(

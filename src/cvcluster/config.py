@@ -53,10 +53,8 @@ class ExperimentConfig:
     gains_spec: object
     sweep: tuple[float, float, int] | None
 
-    def simulation_pattern(self, r: float | None = None) -> SqueezePattern:
-        """Pattern actually simulated; ``r`` overrides the swept magnitude."""
-        if r is not None:
-            return self.pattern.with_r(r)
+    def simulation_pattern(self) -> SqueezePattern:
+        """Pattern actually simulated."""
         if self.effective_r is not None:
             return self.pattern.with_r(self.effective_r)
         return self.pattern
@@ -77,11 +75,9 @@ class ExperimentConfig:
             graphs.adjacency(self.graph), x_squeezed_inputs=self.x_squeezed_inputs
         )
 
-    def build_state(self, r: float | None = None) -> GaussianState:
+    def build_state(self) -> GaussianState:
         return presets.cluster_state(
-            self.build_unitary(),
-            self.simulation_pattern(r),
-            loss=self.simulation_loss(),
+            self.build_unitary(), self.simulation_pattern(), loss=self.simulation_loss()
         )
 
     def criteria(self) -> list[Criterion]:
@@ -190,6 +186,8 @@ def parse_config(raw: Mapping) -> ExperimentConfig:
     if "squeeze" not in raw:
         raise ConfigError("config needs a 'squeeze' section")
     pattern = _parse_pattern(raw["squeeze"], graph.n)
+    if name is not None and pattern.orientations != presets.experiment_pattern(0.0).orientations:
+        raise ConfigError(f"builtin graph {name!r} is wired for orientations x, p, x, p, ...")
     if "loss" not in raw:
         raise ConfigError("config needs a 'loss' section ('eta' or 'effective_r')")
     loss, effective_r = _parse_loss(raw["loss"], graph.n)

@@ -6,15 +6,17 @@ the criterion's distinguished mode pair on opposite sides.  Gains are named
 slots scaling selected coefficients; setting every gain to 1 reduces u and v
 to two graph nullifiers.
 
-Evaluation is pure; sweeps over the squeezing parameter may run grid points
-concurrently as long as output ordering is imposed by the caller.
+Curves and thresholds in the squeezing parameter r take the covariance as
+data, the stack K of :func:`cvcluster.gaussian.squeezing_terms` with
+cov(r) = e^{-2r} K[0] + e^{2r} K[1] + K[2], so a whole r grid is one batched
+evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "optimal_gains_analytic",
     "optimal_gains_numeric",
     "resolve_gains",
+    "lhs_curve",
     "threshold_r",
     "full_inseparability_report",
 ]
@@ -162,10 +165,7 @@ def unit_gains(criteria: Iterable[Criterion] | Criterion) -> dict[str, float]:
     """All gain slots of one or several criteria set to 1."""
     if isinstance(criteria, Criterion):
         criteria = [criteria]
-    gains: dict[str, float] = {}
-    for c in criteria:
-        gains.update({name: 1.0 for name in c.gain_names})
-    return gains
+    return {name: 1.0 for c in criteria for name in c.gain_names}
 
 
 def _realized_terms(terms: tuple[Term, ...], gains: GainSet):
@@ -191,27 +191,15 @@ def vlf_bound(criterion: Criterion, gains: GainSet) -> float:
     totals, the distinguished modes anchoring the two groups and any other
     contributing mode assigned to whichever group gives the smaller bound.
     """
-    def collect(terms):
-        x: dict[int, float] = {}
-        p: dict[int, float] = {}
-        for mode, quad, coeff in _realized_terms(terms, gains):
-            target = x if quad == "x" else p
-            target[mode] = target.get(mode, 0.0) + coeff
-        return x, p
-
-    ux, up = collect(criterion.u)
-    vx, vp = collect(criterion.v)
-    modes = set(ux) | set(up) | set(vx) | set(vp)
-    products = {
-        mode: ux.get(mode, 0.0) * vp.get(mode, 0.0) - up.get(mode, 0.0) * vx.get(mode, 0.0)
-        for mode in modes
-    }
+    n = criterion.n
+    u, v = realize(criterion.u, n, gains), realize(criterion.v, n, gains)
+    products = u[:n] * v[n:] - u[n:] * v[:n]
     m, k = criterion.bipartition
-    floating = [products[j] for j in modes if j not in (m, k) and products[j] != 0.0]
+    floating = [c for j, c in enumerate(products, 1) if j not in (m, k) and c != 0.0]
     best = np.inf
     for assignment in product((0, 1), repeat=len(floating)):
-        side_m = products.get(m, 0.0) + sum(c for c, s in zip(floating, assignment) if s == 0)
-        side_k = products.get(k, 0.0) + sum(c for c, s in zip(floating, assignment) if s == 1)
+        side_m = products[m - 1] + sum(c for c, s in zip(floating, assignment) if s == 0)
+        side_k = products[k - 1] + sum(c for c, s in zip(floating, assignment) if s == 1)
         best = min(best, 0.5 * (abs(side_m) + abs(side_k)))
     return float(best)
 
@@ -280,6 +268,30 @@ def optimal_gains_analytic(r: float) -> dict[str, float]:
     return gains
 
 
+def _affine_form(criterion: Criterion) -> tuple[np.ndarray, np.ndarray]:
+    """Sides u, v as c(g) = c(0) + C g: c(0) is (2, 2n), C is (2, slots, 2n)."""
+    names, sides = criterion.gain_names, (criterion.u, criterion.v)
+    zero = dict.fromkeys(names, 0.0)
+    c0 = np.array([realize(t, criterion.n, zero) for t in sides])
+    unit = [[realize(t, criterion.n, {**zero, name: 1.0}) for name in names] for t in sides]
+    return c0, np.array(unit).reshape(2, len(names), c0.shape[1]) - c0[:, None]
+
+
+def _solve_gains(criterion: Criterion, covs: np.ndarray) -> np.ndarray:
+    """Exact minimising gains, one row per covariance of an (m, 2n, 2n) stack."""
+    c0, rows = _affine_form(criterion)
+    left = rows @ covs[:, None]
+    try:
+        solution = np.linalg.solve(
+            (left @ rows.transpose(0, 2, 1)).sum(axis=1), -(left @ c0[:, :, None]).sum(axis=1)
+        )[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"gain system of criterion {criterion.cid} is singular") from exc
+    if not np.all(np.isfinite(solution)):
+        raise RuntimeError(f"optimal gains of criterion {criterion.cid} are not finite")
+    return solution
+
+
 def optimal_gains_numeric(criterion: Criterion, state: GaussianState) -> dict[str, float]:
     """Exact minimiser of the criterion's variance sum over its gain slots.
 
@@ -288,24 +300,8 @@ def optimal_gains_numeric(criterion: Criterion, state: GaussianState) -> dict[st
     (sum C^T S C) g = -sum C^T S c(0), summed over both sides with S the
     state covariance.  A singular system or a non-finite solution raises.
     """
-    names = criterion.gain_names
-    zero = dict.fromkeys(names, 0.0)
-    matrix = np.zeros((len(names), len(names)))
-    rhs = np.zeros(len(names))
-    for terms in (criterion.u, criterion.v):
-        c0 = realize(terms, criterion.n, zero)
-        rows = np.array(
-            [realize(terms, criterion.n, {**zero, name: 1.0}) - c0 for name in names]
-        ).reshape(len(names), c0.size)
-        matrix += rows @ state.cov @ rows.T
-        rhs -= rows @ state.cov @ c0
-    try:
-        solution = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"gain system of criterion {criterion.cid} is singular") from exc
-    if not np.all(np.isfinite(solution)):
-        raise RuntimeError(f"optimal gains of criterion {criterion.cid} are not finite")
-    return {name: float(g) for name, g in zip(names, solution)}
+    solution = _solve_gains(criterion, state.cov[None])[0]
+    return {name: float(g) for name, g in zip(criterion.gain_names, solution)}
 
 
 def resolve_gains(
@@ -337,52 +333,55 @@ def resolve_gains(
     return {c.cid: {name: overrides.get(name, 1.0) for name in c.gain_names} for c in criteria}
 
 
-def threshold_r(
-    criterion: Criterion,
-    state_builder: Callable[[float], GaussianState],
-    gain_mode: str = "unit",
-    r_max: float = 3.0,
-    tol: float = 1e-6,
-    grid_points: int = 61,
-) -> float | None:
+def lhs_curve(criterion: Criterion, terms: np.ndarray, rs, gain_mode: str = "unit") -> np.ndarray:
+    """Variance sum of the criterion at every squeezing value in ``rs``.
+
+    ``terms`` is the stack K of :func:`cvcluster.gaussian.squeezing_terms`;
+    ``gain_mode`` "unit" sets every gain to 1, "optimal" solves them at each r.
+    """
+    weights = np.exp(np.multiply.outer(np.asarray(rs, dtype=float), [-2.0, 2.0, 0.0]))
+    covs = np.tensordot(weights, terms, axes=1)
+    if gain_mode == "unit":
+        gains = np.ones((len(covs), len(criterion.gain_names)))
+    elif gain_mode == "optimal":
+        gains = _solve_gains(criterion, covs)
+    else:
+        raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
+    c0, rows = _affine_form(criterion)
+    vecs = c0 + np.einsum("mk,ski->msi", gains, rows)
+    return np.einsum("msi,mij,msj->m", vecs, covs, vecs)
+
+
+def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit") -> float | None:
     """Squeezing value where the variance sum crosses its bound.
 
-    Scans r over (0, r_max] and bisects the first sign change of
-    ``lhs(r) - bound`` to within ``tol``.  Returns None when the criterion is
-    satisfied on the whole grid, which is the optimal-gain behaviour.
+    Scans r over (0, 3] in steps of 0.05 and bisects the first sign change of
+    ``lhs(r) - bound`` to within 1e-6.  Returns None when the criterion is
+    satisfied on the whole grid, which is the optimal-gain behaviour.  The
+    bound is taken once, at unit gains, so with optimal gains a criterion
+    whose gain slots scale a term of a symplectic product is rejected.
     """
-    if gain_mode not in ("unit", "optimal"):
-        raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
-
-    def margin(r: float) -> float:
-        state = state_builder(r)
-        if gain_mode == "unit":
-            gains = unit_gains(criterion)
-        else:
-            gains = optimal_gains_numeric(criterion, state)
-        result = evaluate(criterion, state, gains)
-        return result.lhs - result.bound
-
-    grid = np.linspace(0.0, r_max, grid_points)[1:]
-    margins = [margin(r) for r in grid]
-    if all(m < 0 for m in margins):
+    c0, rows = _affine_form(criterion)
+    gained = np.abs(rows).sum(axis=1)
+    conjugate = np.roll(np.abs(c0) + gained, c0.shape[1] // 2, axis=1)[::-1]
+    if gain_mode == "optimal" and np.any(gained * conjugate):
+        raise ValueError(f"the bound of criterion {criterion.cid} depends on its gains")
+    bound = vlf_bound(criterion, unit_gains(criterion))
+    grid = np.linspace(0.0, 3.0, 61)
+    lhs = lhs_curve(criterion, terms, grid[1:], gain_mode)
+    if np.all(lhs < bound):
         return None
-    if all(m > 0 for m in margins):
-        raise RuntimeError(f"criterion {criterion.cid} is never satisfied on (0, {r_max}]")
-
-    lo, hi = 0.0, r_max
-    for r, m in zip(grid, margins):
-        if m <= 0:
-            hi = r
-            break
-        lo = r
-    while hi - lo > tol:
+    if np.all(lhs > bound):
+        raise RuntimeError(f"criterion {criterion.cid} is never satisfied on (0, 3]")
+    first = int(np.argmax(lhs <= bound))
+    lo, hi = grid[first], grid[first + 1]
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if margin(mid) > 0:
+        if lhs_curve(criterion, terms, [mid], gain_mode)[0] > bound:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
 
 
 def full_inseparability_report(

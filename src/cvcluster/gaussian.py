@@ -26,6 +26,7 @@ __all__ = [
     "input_covariance",
     "omega",
     "symplectic_from_unitary",
+    "squeezing_terms",
     "evolve",
     "apply_loss",
     "combination_vector",
@@ -108,22 +109,24 @@ def vacuum_state(n: int) -> GaussianState:
     return GaussianState(cov=np.eye(2 * n) * VACUUM_VARIANCE)
 
 
+def _squeezed_quadratures(orientations) -> np.ndarray:
+    """Mask over the input quadratures (x_1..x_n, p_1..p_n), True where squeezed."""
+    x = np.array(orientations) == "x"
+    return np.concatenate([x, ~x])
+
+
+def _input_variances(pattern: SqueezePattern) -> np.ndarray:
+    sign = np.where(_squeezed_quadratures(pattern.orientations), -2.0, 2.0)
+    return VACUUM_VARIANCE * np.exp(sign * np.tile(pattern.rs, 2))
+
+
 def input_covariance(pattern: SqueezePattern) -> GaussianState:
     """Diagonal covariance of independent squeezed inputs.
 
     An x-squeezed mode has Var x = exp(-2r)/4 and Var p = exp(+2r)/4; a
     p-squeezed mode the reverse.
     """
-    n = pattern.n
-    diag = np.empty(2 * n)
-    for j, (orientation, r) in enumerate(zip(pattern.orientations, pattern.rs)):
-        squeezed = VACUUM_VARIANCE * np.exp(-2.0 * r)
-        anti = VACUUM_VARIANCE * np.exp(2.0 * r)
-        if orientation == "x":
-            diag[j], diag[n + j] = squeezed, anti
-        else:
-            diag[j], diag[n + j] = anti, squeezed
-    return GaussianState(cov=np.diag(diag))
+    return GaussianState(cov=np.diag(_input_variances(pattern)))
 
 
 @lru_cache(maxsize=None)
@@ -183,6 +186,23 @@ def apply_loss(state: GaussianState, loss: LossModel) -> GaussianState:
     d = np.sqrt(np.concatenate([loss.etas, loss.etas]))
     cov = state.cov * np.outer(d, d) + np.diag((1.0 - d * d) * VACUUM_VARIANCE)
     return GaussianState(cov=cov)
+
+
+def squeezing_terms(u: np.ndarray, orientations, loss: LossModel | None = None) -> np.ndarray:
+    """Output covariance as data in r: cov(r) = e^{-2r} K[0] + e^{2r} K[1] + K[2].
+
+    Holds when every input is squeezed by the same r with the given
+    orientations, sent through the network ``u`` and then ``loss``.  K[0] and
+    K[1] are the squeezed and anti-squeezed input quadratures pulled through
+    network and loss; K[2] is the vacuum the loss adds.
+    """
+    s = symplectic_from_unitary(u)
+    mask = _squeezed_quadratures(orientations)
+    if mask.size != s.shape[0] or (loss is not None and 2 * len(loss.etas) != mask.size):
+        raise ValueError("orientation, loss and network mode counts differ")
+    d = np.ones(mask.size) if loss is None else np.sqrt(np.tile(loss.etas, 2))
+    squeezed, anti = d[:, None] * s[:, mask], d[:, None] * s[:, ~mask]
+    return VACUUM_VARIANCE * np.stack([squeezed @ squeezed.T, anti @ anti.T, np.diag(1.0 - d * d)])
 
 
 def combination_vector(n: int, terms) -> np.ndarray:
@@ -256,35 +276,25 @@ def excess_noise_decomposition(
     """
     s = symplectic_from_unitary(u)
     n = pattern.n
+    squeezed = _squeezed_quadratures(pattern.orientations)
+    variances = _input_variances(pattern)
+    # Input quadratures in mode order: x_1, p_1, x_2, p_2, ...
+    order = np.arange(2 * n).reshape(2, n).T.ravel()
     report_tol = 1e-12
     out = []
     for c in combinations:
         w = s.T @ np.asarray(c, dtype=float)
-        squeezed: list[ExcessNoiseTerm] = []
-        anti: list[ExcessNoiseTerm] = []
-        variance = 0.0
-        max_anti = 0.0
-        for j in range(n):
-            r = pattern.rs[j]
-            if pattern.orientations[j] == "x":
-                sq_quad, sq_coeff = "x", w[j]
-                anti_quad, anti_coeff = "p", w[n + j]
-            else:
-                sq_quad, sq_coeff = "p", w[n + j]
-                anti_quad, anti_coeff = "x", w[j]
-            variance += sq_coeff**2 * np.exp(-2.0 * r) * VACUUM_VARIANCE
-            variance += anti_coeff**2 * np.exp(2.0 * r) * VACUUM_VARIANCE
-            max_anti = max(max_anti, abs(anti_coeff))
-            if abs(sq_coeff) > report_tol:
-                squeezed.append(ExcessNoiseTerm(j + 1, sq_quad, float(sq_coeff)))
-            if abs(anti_coeff) > report_tol:
-                anti.append(ExcessNoiseTerm(j + 1, anti_quad, float(anti_coeff)))
+
+        def listed(side):
+            kept = order[side[order] & (np.abs(w[order]) > report_tol)]
+            return tuple(ExcessNoiseTerm(int(i % n) + 1, "xp"[i // n], float(w[i])) for i in kept)
+
         out.append(
             NullifierNoise(
-                squeezed=tuple(squeezed),
-                anti=tuple(anti),
-                variance=float(variance),
-                max_anti_coefficient=float(max_anti),
+                squeezed=listed(squeezed),
+                anti=listed(~squeezed),
+                variance=float(w**2 @ variances),
+                max_anti_coefficient=float(np.max(np.abs(w[~squeezed]))),
             )
         )
     return out

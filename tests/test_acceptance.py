@@ -30,6 +30,7 @@ from cvcluster.gaussian import (
     omega,
     qnl_variance,
     quadrature_variance,
+    squeezing_terms,
     symplectic_from_unitary,
 )
 from cvcluster.sampling import estimate_variance, sample_quadratures
@@ -196,22 +197,25 @@ def test_acceptance_5_nullifier_noise_power():
 def test_acceptance_6_thresholds():
     lin = {c.cid: c for c in linear_criteria()}
     dia = {c.cid: c for c in diamond_criteria()}
+    orientations = presets.experiment_pattern(0.0).orientations
+    linear_terms = squeezing_terms(presets.chain8_unitary(), orientations)
+    diamond_terms = squeezing_terms(presets.diamond8_unitary(), orientations)
     targets = {
-        "3a": (lin["3a"], linear_state, 0.5 * np.log(1.25)),
-        "3b": (lin["3b"], linear_state, 0.5 * np.log(1.5)),
-        "4a": (dia["4a"], diamond_state, 0.5 * np.log(1.5)),
-        "4c": (dia["4c"], diamond_state, 0.5 * np.log(1.75)),
-        "4e": (dia["4e"], diamond_state, 0.5 * np.log(2.0)),
+        "3a": (lin["3a"], linear_terms, 0.5 * np.log(1.25)),
+        "3b": (lin["3b"], linear_terms, 0.5 * np.log(1.5)),
+        "4a": (dia["4a"], diamond_terms, 0.5 * np.log(1.5)),
+        "4c": (dia["4c"], diamond_terms, 0.5 * np.log(1.75)),
+        "4e": (dia["4e"], diamond_terms, 0.5 * np.log(2.0)),
     }
     computed = {}
-    for cid, (criterion, builder, expected) in targets.items():
-        value = threshold_r(criterion, builder, "unit")
+    for cid, (criterion, terms, expected) in targets.items():
+        value = threshold_r(criterion, terms, "unit")
         computed[cid] = value
         assert value == pytest.approx(expected, abs=1e-4), cid
 
     notes = []
     for cid in ("3c", "3d"):
-        value = threshold_r(lin[cid], linear_state, "unit")
+        value = threshold_r(lin[cid], linear_terms, "unit")
         assert value == pytest.approx(0.5 * np.log(1.5), abs=1e-4)
         published = reference.PUBLISHED_UNIT_GAIN_THRESHOLDS[cid]
         notes.append(

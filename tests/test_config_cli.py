@@ -80,6 +80,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(base_config(extra={}))
 
+    @pytest.mark.parametrize("graph", ["linear8", "diamond8"])
+    @pytest.mark.parametrize(
+        "orientations", [["p", "x"] * 4, ["x"] * 8, ["x", "p", "x", "p", "p", "x", "x", "p"]]
+    )
+    def test_builtin_graph_rejects_other_orientations(self, graph, orientations):
+        # The builtin networks are wired for x-squeezed inputs 1, 3, 5, 7 only.
+        with pytest.raises(ConfigError):
+            parse_config(base_config(graph=graph, squeeze={"r": 0.5, "orientations": orientations}))
+
     def test_unknown_graph_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(base_config(graph="ring8"))
@@ -386,6 +395,13 @@ def test_round_trip_is_deterministic(tmp_path):
 
 def test_unknown_config_exit_code(tmp_path):
     assert main(["criteria", "--config", "missing", "--out", str(tmp_path)]) == 2
+
+
+def test_builtin_graph_with_other_orientations_exit_code(tmp_path):
+    config = tmp_path / "flipped.json"
+    config.write_text(json.dumps(base_config(squeeze={"r": 0.5, "orientations": ["p", "x"] * 4})))
+    for command in ("compile", "simulate"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
 
 
 def test_malformed_config_exit_code(tmp_path):

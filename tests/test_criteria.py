@@ -1,15 +1,20 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cvcluster import graphs, presets
+from cvcluster.config import parse_config
 from cvcluster.criteria import (
     Criterion,
     Term,
     diamond_criteria,
     evaluate,
     full_inseparability_report,
+    lhs_curve,
     linear_criteria,
     optimal_gains_analytic,
     optimal_gains_numeric,
@@ -19,7 +24,7 @@ from cvcluster.criteria import (
     unit_gains,
     vlf_bound,
 )
-from cvcluster.gaussian import LossModel, quadrature_variance, vacuum_state
+from cvcluster.gaussian import LossModel, quadrature_variance, squeezing_terms, vacuum_state
 
 
 def linear_state(r):
@@ -31,6 +36,9 @@ def diamond_state(r):
 
 
 STATE_BUILDERS = {"3": linear_state, "4": diamond_state}
+ORIENTATIONS = presets.experiment_pattern(0.0).orientations
+LINEAR_TERMS = squeezing_terms(presets.chain8_unitary(), ORIENTATIONS)
+DIAMOND_TERMS = squeezing_terms(presets.diamond8_unitary(), ORIENTATIONS)
 
 
 def builder_for(criterion):
@@ -107,6 +115,20 @@ class TestBound:
             n=2,
         )
         assert vlf_bound(epr, {}) == pytest.approx(1.0, abs=1e-14)
+
+    @given(
+        gains=st.fixed_dictionaries(
+            {
+                name: st.floats(-5.0, 5.0)
+                for name in unit_gains(linear_criteria() + diamond_criteria())
+            }
+        )
+    )
+    def test_bound_is_one_under_any_gains(self, gains):
+        # threshold_r takes the bound at unit gains; this holds because no gain
+        # slot scales a term that enters a symplectic product.
+        for c in linear_criteria() + diamond_criteria():
+            assert vlf_bound(c, gains) == 1.0, c.cid
 
     def test_3a_bound_with_scaled_gain(self):
         c = linear_criteria()[0]
@@ -231,19 +253,19 @@ class TestOptimalGains:
 
 class TestThresholds:
     def test_3a_unit_threshold(self):
-        value = threshold_r(linear_criteria()[0], linear_state, "unit")
+        value = threshold_r(linear_criteria()[0], LINEAR_TERMS, "unit")
         assert value == pytest.approx(0.5 * np.log(1.25), abs=1e-4)
 
     def test_4c_unit_threshold(self):
-        value = threshold_r(diamond_criteria()[2], diamond_state, "unit")
+        value = threshold_r(diamond_criteria()[2], DIAMOND_TERMS, "unit")
         assert value == pytest.approx(0.5 * np.log(1.75), abs=1e-4)
 
     def test_3a_optimal_never_crosses(self):
-        assert threshold_r(linear_criteria()[0], linear_state, "optimal") is None
+        assert threshold_r(linear_criteria()[0], LINEAR_TERMS, "optimal") is None
 
     def test_threshold_brackets_the_crossing(self):
         c = linear_criteria()[0]
-        value = threshold_r(c, linear_state, "unit")
+        value = threshold_r(c, LINEAR_TERMS, "unit")
         eps = 1e-4
         above = evaluate(c, linear_state(value + eps), unit_gains(c))
         below = evaluate(c, linear_state(value - eps), unit_gains(c))
@@ -251,7 +273,100 @@ class TestThresholds:
 
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
-            threshold_r(linear_criteria()[0], linear_state, "tuned")
+            threshold_r(linear_criteria()[0], LINEAR_TERMS, "tuned")
+
+    def test_optimal_mode_rejects_gain_dependent_bound(self):
+        # The slot scales x_2, and the other side holds p_2, so the bound moves
+        # with the gain and one bound per criterion would be wrong.
+        c = Criterion(
+            "t",
+            (Term(1, "x", 1.0), Term(2, "x", -1.0, "g")),
+            (Term(1, "p", 1.0), Term(2, "p", 1.0)),
+            (1, 2),
+            n=2,
+        )
+        assert vlf_bound(c, {"g": 0.5}) != vlf_bound(c, {"g": 1.0})
+        with pytest.raises(ValueError):
+            threshold_r(c, squeezing_terms(np.eye(2), ("x", "p")), "optimal")
+
+
+class TestLhsCurve:
+    @given(
+        name=st.sampled_from(["linear8", "diamond8"]),
+        rs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+        etas=st.one_of(st.none(), st.lists(st.floats(0.3, 1.0), min_size=8, max_size=8)),
+    )
+    def test_matches_evaluate_at_every_r(self, name, rs, etas):
+        unitary = presets.builtin_unitary(name)
+        loss = None if etas is None else LossModel(tuple(etas))
+        terms = squeezing_terms(unitary, ORIENTATIONS, loss)
+        for c in presets.builtin_criteria(name):
+            unit = lhs_curve(c, terms, rs, "unit")
+            optimal = lhs_curve(c, terms, rs, "optimal")
+            for r, unit_lhs, optimal_lhs in zip(rs, unit, optimal):
+                state = presets.cluster_state(unitary, presets.experiment_pattern(r), loss=loss)
+                expected_unit = evaluate(c, state, unit_gains(c)).lhs
+                expected_optimal = evaluate(c, state, optimal_gains_numeric(c, state)).lhs
+                assert abs(unit_lhs - expected_unit) <= 1e-12 * max(1.0, expected_unit)
+                assert abs(optimal_lhs - expected_optimal) <= 1e-12 * max(1.0, expected_optimal)
+
+    def test_invalid_gain_mode_rejected(self):
+        with pytest.raises(ValueError):
+            lhs_curve(linear_criteria()[0], LINEAR_TERMS, [0.3], "tuned")
+
+
+def closed_form_threshold(criterion, unitary, loss):
+    """Unit-gain threshold from the quadratic in t = e^{2r}.
+
+    lhs(r) = A e^{-2r} + B e^{2r} + K, with A, B, K read off the covariance
+    route at r = 0, 1/2, 1.  lhs = 1 gives B t^2 + (K - 1) t + A = 0, whose
+    smaller root is written in the form that stays exact as B -> 0.
+    """
+    rs = np.array([0.0, 0.5, 1.0])
+    lhs = [
+        evaluate(
+            criterion,
+            presets.cluster_state(unitary, presets.experiment_pattern(r), loss=loss),
+            unit_gains(criterion),
+        ).lhs
+        for r in rs
+    ]
+    basis = np.column_stack([np.exp(-2 * rs), np.exp(2 * rs), np.ones(3)])
+    a, b, k = np.linalg.solve(basis, lhs)
+    discriminant = (1 - k) ** 2 - 4 * a * b
+    assert discriminant > 0 and k < 1, criterion.cid
+    return 0.5 * np.log(2 * a / ((1 - k) + np.sqrt(discriminant)))
+
+
+THRESHOLD_CONFIGS = {
+    "linear8": {},
+    "diamond8": {},
+    "linear8_physical": {},
+    "diamond8_physical": {},
+    "linear8_per_mode": {
+        "base": "linear8_physical",
+        "eta": [0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6],
+    },
+    "diamond8_per_mode": {
+        "base": "diamond8_physical",
+        "eta": [0.6, 0.72, 0.91, 0.55, 0.99, 0.8, 0.66, 0.87],
+    },
+}
+
+
+@pytest.mark.parametrize("label", THRESHOLD_CONFIGS)
+def test_thresholds_match_closed_form(label):
+    spec = THRESHOLD_CONFIGS[label]
+    base = spec.get("base", label)
+    raw = json.loads(resources.files("cvcluster").joinpath(f"configs/{base}.json").read_text())
+    if "eta" in spec:
+        raw["loss"] = {"eta": spec["eta"]}
+    config = parse_config(raw)
+    unitary, loss = config.build_unitary(), config.simulation_loss()
+    terms = squeezing_terms(unitary, config.pattern.orientations, loss)
+    for c in config.criteria():
+        expected = closed_form_threshold(c, unitary, loss)
+        assert abs(threshold_r(c, terms, "unit") - expected) < 1e-6, c.cid
 
 
 class TestReports:

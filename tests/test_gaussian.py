@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cvcluster import gaussian, graphs, presets
+from cvcluster import gaussian, graphs, network, presets
+from cvcluster.config import parse_config
 from cvcluster.gaussian import (
     GaussianState,
     LossModel,
@@ -14,6 +17,7 @@ from cvcluster.gaussian import (
     omega,
     qnl_variance,
     quadrature_variance,
+    squeezing_terms,
     symplectic_from_unitary,
     vacuum_state,
     variance_db,
@@ -242,6 +246,53 @@ class TestExcessNoise:
             assert noise.variance == pytest.approx(
                 quadrature_variance(state, coeffs), abs=1e-10
             )
+
+
+def expanded_covariance(terms, r):
+    return np.exp(-2 * r) * terms[0] + np.exp(2 * r) * terms[1] + terms[2]
+
+
+class TestSqueezingTerms:
+    @given(
+        name=st.sampled_from(["linear8", "diamond8"]),
+        r=st.floats(0.0, 2.0),
+        etas=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)),
+    )
+    def test_builtin_configs_match_build_state(self, name, r, etas):
+        loss = {"effective_r": r} if etas is None else {"eta": etas}
+        config = parse_config({"graph": name, "squeeze": {"r": r}, "loss": loss})
+        terms = squeezing_terms(
+            config.build_unitary(), config.pattern.orientations, config.simulation_loss()
+        )
+        cov = config.build_state().cov
+        assert np.max(np.abs(expanded_covariance(terms, r) - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        r=st.floats(0.0, 2.0),
+        lossy=st.booleans(),
+    )
+    def test_random_graphs_match_cluster_state(self, n, seed, r, lossy):
+        rng = np.random.default_rng(seed)
+        upper = np.triu((rng.random((n, n)) < 0.45).astype(float), k=1)
+        orientations = tuple(rng.choice(["x", "p"], n))
+        x_inputs = tuple(j + 1 for j, o in enumerate(orientations) if o == "x")
+        u = network.compile_cluster_unitary(upper + upper.T, x_squeezed_inputs=x_inputs)
+        loss = LossModel(tuple(rng.uniform(0.0, 1.0, n))) if lossy else None
+        cov = presets.cluster_state(u, SqueezePattern(orientations, (r,) * n), loss=loss).cov
+        expanded = expanded_covariance(squeezing_terms(u, orientations, loss), r)
+        assert np.max(np.abs(expanded - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+    def test_mode_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            squeezing_terms(np.eye(2), ("x",))
+        with pytest.raises(ValueError):
+            squeezing_terms(np.eye(2), ("x", "p"), LossModel.uniform(3, 0.9))
+
+    def test_non_unitary_rejected(self):
+        with pytest.raises(ValueError):
+            squeezing_terms(2 * np.eye(2), ("x", "p"))
 
 
 def test_state_validation():
