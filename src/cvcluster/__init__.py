@@ -43,11 +43,10 @@ from .gaussian import (
 )
 from .criteria import (
     Criterion,
-    diamond_criteria,
     evaluate,
     full_inseparability_report,
+    graph_criteria,
     lhs_curve,
-    linear_criteria,
     optimal_gains_analytic,
     optimal_gains_numeric,
     threshold_r,

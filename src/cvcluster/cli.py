@@ -75,19 +75,23 @@ def _write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
-def _load_gain_override(args, config: ExperimentConfig):
-    """Gain request from --gains if given, otherwise from the config."""
-    if args.gains is None:
-        return config.gains_spec
-    if args.gains in ("unit", "optimal"):
-        return args.gains
-    path = Path(args.gains)
-    if not path.exists():
-        raise ConfigError(f"--gains must be 'unit', 'optimal' or a JSON file, got {args.gains!r}")
+def _resolve_gains(args, config: ExperimentConfig, criteria, state):
+    """Gain tables for --gains if given, else for the config; an unknown slot is a config error."""
+    spec = args.gains
+    if spec is None:
+        spec = config.gains_spec
+    elif spec not in ("unit", "optimal"):
+        path = Path(spec)
+        if not path.is_file():
+            raise ConfigError(f"--gains must be 'unit', 'optimal' or a JSON file, got {spec!r}")
+        try:
+            spec = {str(k): float(v) for k, v in json.loads(path.read_text()).items()}
+        except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid gains file {path}: {exc}") from exc
     try:
-        return {str(k): float(v) for k, v in json.loads(path.read_text()).items()}
-    except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid gains file {path}: {exc}") from exc
+        return resolve_gains(criteria, spec, state=state)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _graph_label(config: ExperimentConfig) -> str:
@@ -254,7 +258,7 @@ def cmd_criteria(args) -> int:
     label = _graph_label(config)
     state = config.build_state()
     criteria = config.criteria()
-    gains = resolve_gains(criteria, _load_gain_override(args, config), state=state)
+    gains = _resolve_gains(args, config, criteria, state)
     report = full_inseparability_report(criteria, state, gains)
 
     measured = None
@@ -321,7 +325,7 @@ def cmd_sweep(args) -> int:
             + [np.full(steps, vlf_bound(c, unit_gains(c)))]
             for c in criteria
         ]
-    )
+    ).reshape(len(criteria), 3, steps)
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as handle:
@@ -331,10 +335,13 @@ def cmd_sweep(args) -> int:
             for c, values in zip(criteria, table[:, :, i]):
                 writer.writerow([f"{r:.10g}", c.cid, *(f"{v:.12g}" for v in values)])
 
+    print(f"graph {label}: unit-gain squeezing thresholds")
     thresholds = []
     for criterion in criteria:
-        computed = threshold_r(criterion, terms, gain_mode="unit")
-        optimal = threshold_r(criterion, terms, gain_mode="optimal")
+        found = {mode: threshold_r(criterion, terms, mode) for mode in ("unit", "optimal")}
+        # inf: the criterion is satisfied nowhere on the scanned grid.
+        never = [mode for mode, value in found.items() if value == np.inf]
+        computed, optimal = (None if value == np.inf else value for value in found.values())
         published = reference.PUBLISHED_UNIT_GAIN_THRESHOLDS.get(criterion.cid)
         entry = {
             "criterion": criterion.cid,
@@ -342,26 +349,24 @@ def cmd_sweep(args) -> int:
             "threshold_optimal": optimal,
             "published_unit": published,
         }
-        if published is not None and computed is not None and abs(computed - published) > 0.02:
+        if never:
+            entry["note"] = f"never satisfied on (0, 3] with {' or '.join(never)} gains"
+        elif published is not None and computed is not None and abs(computed - published) > 0.02:
             entry["note"] = (
                 "covariance-model threshold differs from the published figure; "
                 "the model value follows from the simulated variances"
             )
         thresholds.append(entry)
-    _write_json(out / "thresholds.json", {"graph": label, "thresholds": thresholds})
 
-    print(f"graph {label}: unit-gain squeezing thresholds")
-    for entry in thresholds:
-        computed = entry["threshold_unit"]
-        shown = "none" if computed is None else f"{computed:.4f}"
-        line = f"  {entry['criterion']}: r > {shown}"
-        if entry["threshold_optimal"] is None:
+        line = f"  {criterion.cid}: r > {'none' if computed is None else f'{computed:.4f}'}"
+        if found["optimal"] is None:
             line += " (optimal gains: satisfied for all r > 0)"
-        if entry.get("published_unit") is not None:
-            line += f" [published: {entry['published_unit']:.2f}]"
+        if published is not None:
+            line += f" [published: {published:.2f}]"
         if "note" in entry:
             line += "  <-- " + entry["note"]
         print(line)
+    _write_json(out / "thresholds.json", {"graph": label, "thresholds": thresholds})
     print(f"wrote sweep.csv and thresholds.json to {out}")
     return 0
 
@@ -389,7 +394,7 @@ def cmd_sample(args) -> int:
         check(f"nullifier_{mode}", vec)
     if config.graph_name is not None:
         criteria = config.criteria()
-        gains = resolve_gains(criteria, _load_gain_override(args, config), state=state)
+        gains = _resolve_gains(args, config, criteria, state)
         for c in criteria:
             check(f"{c.cid}_u", realize(c.u, c.n, gains[c.cid]))
             check(f"{c.cid}_v", realize(c.v, c.n, gains[c.cid]))

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from . import graphs, presets
-from .criteria import Criterion
+from .criteria import Criterion, graph_criteria
 from .gaussian import GaussianState, LossModel, SqueezePattern
 from .network import compile_cluster_unitary
 
@@ -81,10 +81,9 @@ class ExperimentConfig:
         )
 
     def criteria(self) -> list[Criterion]:
+        """The published inequalities on a builtin graph, the generated ones otherwise."""
         if self.graph_name is None:
-            raise ConfigError(
-                "inseparability criteria are defined for the builtin graphs only"
-            )
+            return graph_criteria(self.graph)
         return presets.builtin_criteria(self.graph_name)
 
 
@@ -207,7 +206,7 @@ def parse_config(raw: Mapping) -> ExperimentConfig:
 def load_config(source: str | Path) -> ExperimentConfig:
     """Load a config from a JSON file path or a builtin config name."""
     path = Path(source)
-    if path.exists():
+    if path.is_file():
         text = path.read_text()
     elif str(source) in BUILTIN_CONFIGS:
         text = (

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import graphs
 from .gaussian import (
     GaussianState,
     combination_vector,
@@ -33,8 +34,7 @@ __all__ = [
     "Criterion",
     "CriterionResult",
     "InseparabilityReport",
-    "linear_criteria",
-    "diamond_criteria",
+    "graph_criteria",
     "unit_gains",
     "realize",
     "vlf_bound",
@@ -73,7 +73,7 @@ class Criterion:
     u: tuple[Term, ...]
     v: tuple[Term, ...]
     bipartition: tuple[int, int]
-    n: int = 8
+    n: int
 
     @property
     def gain_names(self) -> tuple[str, ...]:
@@ -100,64 +100,29 @@ class InseparabilityReport:
     all_satisfied: bool
 
 
-def _p(mode: int) -> Term:
-    return Term(mode, "p", 1.0)
+def graph_criteria(graph: graphs.Graph, order=None, slot_names=None, ties=None) -> list[Criterion]:
+    """One inequality per edge (a, b), after van Loock & Furusawa, PRA 67, 052315 (2003).
 
+    u and v are the nullifiers p_m - sum_{j in N(m)} x_j of a and b, with a gain
+    slot on every x term but the partner's.  Ids default to "a-b" in sorted edge
+    order and slots to "g{m}_{j}"; published labels pass ``order`` (id -> edge),
+    ``slot_names`` ((m, j) -> slot of x_j in the nullifier of m) and ``ties``
+    (id -> one slot name shared by all slots of that criterion).
+    """
+    x_modes = {nf.mode: nf.x_modes for nf in graphs.nullifiers(graph)}
+    order = order or {f"{a}-{b}": (a, b) for a, b in sorted(graph.edges)}
+    slot_names = slot_names or {(m, j): f"g{m}_{j}" for m in x_modes for j in x_modes[m]}
+    ties = ties or {}
 
-def _x(mode: int, gain: str | None = None) -> Term:
-    return Term(mode, "x", -1.0, gain)
+    def side(cid: str, m: int, partner: int) -> tuple[Term, ...]:
+        return (Term(m, "p", 1.0),) + tuple(
+            Term(j, "x", -1.0, None if j == partner else ties.get(cid, slot_names[m, j]))
+            for j in x_modes[m]
+        )
 
-
-def linear_criteria() -> list[Criterion]:
-    """The seven inequalities certifying the 8-mode chain cluster state."""
     return [
-        Criterion("3a", (_p(1), _x(2)), (_p(2), _x(1), _x(3, "g_L3")), (1, 2)),
-        Criterion("3b", (_p(2), _x(1, "g_L1"), _x(3)), (_p(3), _x(2), _x(4, "g_L4")), (2, 3)),
-        Criterion("3c", (_p(3), _x(2, "g_L2"), _x(4)), (_p(4), _x(3), _x(5, "g_L5")), (3, 4)),
-        Criterion("3d", (_p(4), _x(3, "g_L3"), _x(5)), (_p(5), _x(4), _x(6, "g_L6")), (4, 5)),
-        Criterion("3e", (_p(5), _x(4, "g_L4"), _x(6)), (_p(6), _x(5), _x(7, "g_L7")), (5, 6)),
-        Criterion("3f", (_p(6), _x(5, "g_L5"), _x(7)), (_p(7), _x(6), _x(8, "g_L8")), (6, 7)),
-        Criterion("3g", (_p(7), _x(6, "g_L6"), _x(8)), (_p(8), _x(7)), (7, 8)),
-    ]
-
-
-def diamond_criteria() -> list[Criterion]:
-    """The nine inequalities certifying the two-diamond cluster state."""
-    return [
-        Criterion("4a", (_p(1), _x(3), _x(4, "g_D1")), (_p(3), _x(1), _x(2, "g_D2")), (1, 3)),
-        Criterion("4b", (_p(2), _x(3), _x(4, "g_D1")), (_p(3), _x(2), _x(1, "g_D2")), (2, 3)),
-        Criterion(
-            "4c",
-            (_p(1), _x(3, "g_D3"), _x(4)),
-            (_p(4), _x(1), _x(2, "g_D4"), _x(5, "g_D5")),
-            (1, 4),
-        ),
-        Criterion(
-            "4d",
-            (_p(2), _x(3, "g_D3"), _x(4)),
-            (_p(4), _x(1, "g_D4"), _x(2), _x(5, "g_D5")),
-            (2, 4),
-        ),
-        Criterion(
-            "4e",
-            (_p(4), _x(1, "g_D6"), _x(2, "g_D6"), _x(5)),
-            (_p(5), _x(4), _x(7, "g_D6"), _x(8, "g_D6")),
-            (4, 5),
-        ),
-        Criterion(
-            "4f",
-            (_p(5), _x(4, "g_D5"), _x(7), _x(8, "g_D4")),
-            (_p(7), _x(5), _x(6, "g_D3")),
-            (5, 7),
-        ),
-        Criterion(
-            "4g",
-            (_p(5), _x(4, "g_D5"), _x(7, "g_D4"), _x(8)),
-            (_p(8), _x(5), _x(6, "g_D3")),
-            (5, 8),
-        ),
-        Criterion("4h", (_p(6), _x(7), _x(8, "g_D2")), (_p(7), _x(5, "g_D1"), _x(6)), (6, 7)),
-        Criterion("4i", (_p(6), _x(7, "g_D2"), _x(8)), (_p(8), _x(5, "g_D1"), _x(6)), (6, 8)),
+        Criterion(cid, side(cid, a, b), side(cid, b, a), (a, b), graph.n)
+        for cid, (a, b) in order.items()
     ]
 
 
@@ -324,9 +289,10 @@ def resolve_gains(
     if spec == "unit":
         overrides = {}
     elif isinstance(spec, Mapping):
-        unknown = set(spec) - set(unit_gains(criteria))
+        slots = unit_gains(criteria)
+        unknown = set(spec) - set(slots)
         if unknown:
-            raise ValueError(f"unknown gain slots: {sorted(unknown)}")
+            raise ValueError(f"unknown gain slots {sorted(unknown)}; known: {sorted(slots)}")
         overrides = {k: float(v) for k, v in spec.items()}
     else:
         raise ValueError(f"gain spec must be 'unit', 'optimal' or a mapping, got {spec!r}")
@@ -357,7 +323,8 @@ def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit"
 
     Scans r over (0, 3] in steps of 0.05 and bisects the first sign change of
     ``lhs(r) - bound`` to within 1e-6.  Returns None when the criterion is
-    satisfied on the whole grid, which is the optimal-gain behaviour.  The
+    satisfied on the whole grid, which is the optimal-gain behaviour, and
+    inf when it is satisfied nowhere on it, as under heavy loss.  The
     bound is taken once, at unit gains, so with optimal gains a criterion
     whose gain slots scale a term of a symplectic product is rejected.
     """
@@ -372,7 +339,7 @@ def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit"
     if np.all(lhs < bound):
         return None
     if np.all(lhs > bound):
-        raise RuntimeError(f"criterion {criterion.cid} is never satisfied on (0, 3]")
+        return np.inf
     first = int(np.argmax(lhs <= bound))
     lo, hi = grid[first], grid[first + 1]
     while hi - lo > 1e-6:
@@ -391,11 +358,24 @@ def full_inseparability_report(
 ) -> InseparabilityReport:
     """Evaluate a whole criteria set; the verdict requires every inequality.
 
-    ``gains`` holds one slot table per criterion, keyed by ``cid``, as
-    returned by :func:`resolve_gains`.
+    Each inequality refutes the splits that separate its mode pair, so the
+    verdict also requires the pairs to connect all modes: then every split
+    separates some pair.  ``gains`` holds one slot table per criterion, keyed
+    by ``cid``, as returned by :func:`resolve_gains`.
     """
+    criteria = list(criteria)
     results = tuple(evaluate(c, state, gains[c.cid]) for c in criteria)
     return InseparabilityReport(
         results=results,
-        all_satisfied=all(r.satisfied for r in results),
+        all_satisfied=all(r.satisfied for r in results)
+        and _connects_all_modes([c.bipartition for c in criteria], state.n),
     )
+
+
+def _connects_all_modes(pairs: list[tuple[int, int]], n: int) -> bool:
+    """Whether the mode pairs, read as edges, join modes 1..n into one component."""
+    component = {m: frozenset([m]) for m in range(1, n + 1)}
+    for a, b in pairs:
+        merged = component[a] | component[b]
+        component.update(dict.fromkeys(merged, merged))
+    return len(component[1]) == n

@@ -49,17 +49,6 @@ class Graph:
             normalised.add((min(a, b), max(a, b)))
         return cls(n=n, edges=frozenset(normalised))
 
-    def neighbors(self, a: int) -> set[int]:
-        if not 1 <= a <= self.n:
-            raise ValueError(f"mode {a} out of range 1..{self.n}")
-        out = set()
-        for i, j in self.edges:
-            if i == a:
-                out.add(j)
-            elif j == a:
-                out.add(i)
-        return out
-
 
 @dataclass(frozen=True)
 class Nullifier:
@@ -102,8 +91,9 @@ def adjacency(graph: Graph) -> np.ndarray:
 
 
 def nullifiers(graph: Graph) -> list[Nullifier]:
-    """One nullifier per mode, ordered by mode label."""
-    return [
-        Nullifier(mode=a, x_modes=tuple(sorted(graph.neighbors(a))))
-        for a in range(1, graph.n + 1)
-    ]
+    """One nullifier per mode, ordered by mode label; one pass over the edges."""
+    x_modes: list[list[int]] = [[] for _ in range(graph.n + 1)]
+    for a, b in graph.edges:
+        x_modes[a].append(b)
+        x_modes[b].append(a)
+    return [Nullifier(mode=a, x_modes=tuple(sorted(x_modes[a]))) for a in range(1, graph.n + 1)]

@@ -1,4 +1,4 @@
-"""Wiring for the two benchmark eight-mode experiments.
+"""Wiring and published labels of the two benchmark eight-mode experiments.
 
 Both networks take amplitude-squeezed inputs on modes 1, 3, 5, 7 and
 phase-squeezed inputs on modes 2, 4, 6, 8.  The chain network comes out of
@@ -23,7 +23,7 @@ from .gaussian import (
     input_covariance,
     symplectic_from_unitary,
 )
-from .criteria import Criterion, diamond_criteria, linear_criteria
+from .criteria import Criterion, graph_criteria
 from .network import (
     assemble_unitary,
     diamond_from_linear,
@@ -35,6 +35,7 @@ from .network import (
 __all__ = [
     "X_SQUEEZED_INPUTS",
     "CHAIN8_PIVOT_SIGNS",
+    "PUBLISHED_LABELS",
     "chain8_factor",
     "chain8_unitary",
     "diamond8_unitary",
@@ -53,6 +54,29 @@ X_SQUEEZED_INPUTS = (1, 3, 5, 7)
 # choice flips only columns of the network (a gauge) and produces the same
 # state.
 CHAIN8_PIVOT_SIGNS = (1, 1, -1, 1, 1, -1, 1, -1)
+
+# Published labels of the benchmark inequalities, the arguments of
+# criteria.graph_criteria: criterion ids in published order with their edges,
+# slot names keyed by (m, j) for x_j in the nullifier of m, and 4e's tied gain.
+_DIAMOND8_SLOTS = {
+    "g_D1": ((1, 4), (2, 4), (7, 5), (8, 5)),
+    "g_D2": ((3, 1), (3, 2), (6, 7), (6, 8)),
+    "g_D3": ((1, 3), (2, 3), (7, 6), (8, 6)),
+    "g_D4": ((4, 1), (4, 2), (5, 7), (5, 8)),
+    "g_D5": ((4, 5), (5, 4)),
+}
+_DIAMOND8_EDGES = ((1, 3), (2, 3), (1, 4), (2, 4), (4, 5), (5, 7), (5, 8), (6, 7), (6, 8))
+PUBLISHED_LABELS = {
+    "linear8": dict(
+        order={f"3{c}": (a, a + 1) for a, c in zip(range(1, 8), "abcdefg")},
+        slot_names={(m, j): f"g_L{j}" for a in range(1, 8) for m, j in ((a, a + 1), (a + 1, a))},
+    ),
+    "diamond8": dict(
+        order={f"4{c}": edge for c, edge in zip("abcdefghi", _DIAMOND8_EDGES)},
+        slot_names={mj: name for name, pairs in _DIAMOND8_SLOTS.items() for mj in pairs},
+        ties={"4e": "g_D6"},
+    ),
+}
 
 
 @lru_cache(maxsize=None)
@@ -103,11 +127,8 @@ def builtin_unitary(name: str) -> np.ndarray:
 
 
 def builtin_criteria(name: str) -> list[Criterion]:
-    if name == "linear8":
-        return linear_criteria()
-    if name == "diamond8":
-        return diamond_criteria()
-    raise ValueError(f"unknown builtin graph {name!r}")
+    """The published inequalities of a builtin graph, under their published labels."""
+    return graph_criteria(builtin_graph(name), **PUBLISHED_LABELS[name])
 
 
 def nullifier_vectors(graph: graphs.Graph) -> list[np.ndarray]:

@@ -1,8 +1,8 @@
 """Frozen reference values shared by the test modules.
 
-The two network matrices and the chain Gram inverse are written out entry by
-entry from the published tables; nothing here is produced by the code under
-test.
+The two network matrices, the chain Gram inverse and the 16 inequalities
+are written out from the published tables; nothing here is produced by the
+code under test.
 """
 
 from fractions import Fraction
@@ -81,3 +81,52 @@ DIAMOND8_NEIGHBOURS = {
     7: {5, 6},
     8: {5, 6},
 }
+
+# The 7 + 9 published inequalities, term for term as printed:
+# cid -> (u terms, v terms, bipartition).  A term is (mode, quadrature,
+# coefficient, gain slot or None).
+_P = lambda m: (m, "p", 1.0, None)  # noqa: E731
+_X = lambda m, g=None: (m, "x", -1.0, g)  # noqa: E731
+PUBLISHED_CRITERIA = {
+    "linear8": {
+        "3a": ((_P(1), _X(2)), (_P(2), _X(1), _X(3, "g_L3")), (1, 2)),
+        "3b": ((_P(2), _X(1, "g_L1"), _X(3)), (_P(3), _X(2), _X(4, "g_L4")), (2, 3)),
+        "3c": ((_P(3), _X(2, "g_L2"), _X(4)), (_P(4), _X(3), _X(5, "g_L5")), (3, 4)),
+        "3d": ((_P(4), _X(3, "g_L3"), _X(5)), (_P(5), _X(4), _X(6, "g_L6")), (4, 5)),
+        "3e": ((_P(5), _X(4, "g_L4"), _X(6)), (_P(6), _X(5), _X(7, "g_L7")), (5, 6)),
+        "3f": ((_P(6), _X(5, "g_L5"), _X(7)), (_P(7), _X(6), _X(8, "g_L8")), (6, 7)),
+        "3g": ((_P(7), _X(6, "g_L6"), _X(8)), (_P(8), _X(7)), (7, 8)),
+    },
+    "diamond8": {
+        "4a": ((_P(1), _X(3), _X(4, "g_D1")), (_P(3), _X(1), _X(2, "g_D2")), (1, 3)),
+        "4b": ((_P(2), _X(3), _X(4, "g_D1")), (_P(3), _X(2), _X(1, "g_D2")), (2, 3)),
+        "4c": (
+            (_P(1), _X(3, "g_D3"), _X(4)),
+            (_P(4), _X(1), _X(2, "g_D4"), _X(5, "g_D5")),
+            (1, 4),
+        ),
+        "4d": (
+            (_P(2), _X(3, "g_D3"), _X(4)),
+            (_P(4), _X(1, "g_D4"), _X(2), _X(5, "g_D5")),
+            (2, 4),
+        ),
+        "4e": (
+            (_P(4), _X(1, "g_D6"), _X(2, "g_D6"), _X(5)),
+            (_P(5), _X(4), _X(7, "g_D6"), _X(8, "g_D6")),
+            (4, 5),
+        ),
+        "4f": (
+            (_P(5), _X(4, "g_D5"), _X(7), _X(8, "g_D4")),
+            (_P(7), _X(5), _X(6, "g_D3")),
+            (5, 7),
+        ),
+        "4g": (
+            (_P(5), _X(4, "g_D5"), _X(7, "g_D4"), _X(8)),
+            (_P(8), _X(5), _X(6, "g_D3")),
+            (5, 8),
+        ),
+        "4h": ((_P(6), _X(7), _X(8, "g_D2")), (_P(7), _X(5, "g_D1"), _X(6)), (6, 7)),
+        "4i": ((_P(6), _X(7, "g_D2"), _X(8)), (_P(8), _X(5, "g_D1"), _X(6)), (6, 8)),
+    },
+}
+

@@ -10,9 +10,7 @@ import pytest
 from cvcluster import graphs, network, presets, reference
 from cvcluster.config import load_config
 from cvcluster.criteria import (
-    diamond_criteria,
     evaluate,
-    linear_criteria,
     optimal_gains_analytic,
     optimal_gains_numeric,
     realize,
@@ -44,6 +42,10 @@ def linear_state(r):
 
 def diamond_state(r):
     return presets.cluster_state(presets.diamond8_unitary(), presets.experiment_pattern(r))
+
+
+LINEAR = presets.builtin_criteria("linear8")
+DIAMOND = presets.builtin_criteria("diamond8")
 
 
 def test_acceptance_1_compiler_fidelity():
@@ -124,7 +126,7 @@ _LINEAR_MODEL_LHS = [0.686, 0.823, 0.823, 0.823, 0.823, 0.823, 0.686]
 
 def test_acceptance_4_linear_measured_values():
     state = linear_state(reference.EFFECTIVE_R)
-    criteria = linear_criteria()
+    criteria = LINEAR
     lhs = [evaluate(c, state, unit_gains(c)).lhs for c in criteria]
     for model, exact in zip(lhs, _LINEAR_MODEL_LHS):
         assert model == pytest.approx(exact, abs=5e-4)
@@ -138,7 +140,7 @@ def test_acceptance_4_linear_measured_values():
 
 def _diamond_lhs_at_effective_r():
     state = diamond_state(reference.EFFECTIVE_R)
-    criteria = diamond_criteria()
+    criteria = DIAMOND
     gains = resolve_gains(criteria, {"g_D6": reference.MEASURED_G_D6})
     return [evaluate(c, state, gains[c.cid]).lhs for c in criteria]
 
@@ -170,7 +172,9 @@ def test_acceptance_4_diamond_measured_values_except_4e():
     gaps = {
         cid: abs(m - meas)
         for cid, m, meas in zip(
-            [c.cid for c in diamond_criteria()], lhs, reference.MEASURED_LHS_DIAMOND
+            [c.cid for c in DIAMOND],
+            lhs,
+            reference.MEASURED_LHS_DIAMOND,
         )
     }
     worst = max(v for k, v in gaps.items() if k != "4e")
@@ -195,8 +199,8 @@ def test_acceptance_5_nullifier_noise_power():
 
 
 def test_acceptance_6_thresholds():
-    lin = {c.cid: c for c in linear_criteria()}
-    dia = {c.cid: c for c in diamond_criteria()}
+    lin = {c.cid: c for c in LINEAR}
+    dia = {c.cid: c for c in DIAMOND}
     orientations = presets.experiment_pattern(0.0).orientations
     linear_terms = squeezing_terms(presets.chain8_unitary(), orientations)
     diamond_terms = squeezing_terms(presets.diamond8_unitary(), orientations)
@@ -234,10 +238,10 @@ def test_acceptance_7_optimal_gains():
     worst = 0.0
     for r in (0.1, 0.3, 0.5, 1.0):
         analytic = optimal_gains_analytic(r)
-        for criterion in linear_criteria():
+        for criterion in LINEAR:
             numeric = optimal_gains_numeric(criterion, linear_state(r))
             worst = max(worst, *(abs(v - analytic[k]) for k, v in numeric.items()))
-        for criterion in diamond_criteria():
+        for criterion in DIAMOND:
             numeric = optimal_gains_numeric(criterion, diamond_state(r))
             worst = max(worst, *(abs(v - analytic[k]) for k, v in numeric.items()))
     assert worst < 1e-12
@@ -247,9 +251,9 @@ def test_acceptance_7_optimal_gains():
 
     for r in (0.01, 0.05, 0.1):
         gains = optimal_gains_analytic(r)
-        for criterion in linear_criteria():
+        for criterion in LINEAR:
             assert evaluate(criterion, linear_state(r), gains).satisfied, (criterion.cid, r)
-        for criterion in diamond_criteria():
+        for criterion in DIAMOND:
             assert evaluate(criterion, diamond_state(r), gains).satisfied, (criterion.cid, r)
     print(
         "\nACCEPTANCE 7 optimal gains: PASS "

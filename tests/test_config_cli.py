@@ -54,8 +54,12 @@ class TestConfigParsing:
         config = parse_config(raw)
         assert config.graph_name is None
         assert config.graph.edges == frozenset({(1, 2), (2, 3)})
-        with pytest.raises(ConfigError):
-            config.criteria()
+        # Custom graphs get one generated criterion per edge.
+        criteria = config.criteria()
+        assert [(c.cid, c.bipartition, c.gain_names) for c in criteria] == [
+            ("1-2", (1, 2), ("g2_3",)),
+            ("2-3", (2, 3), ("g2_1",)),
+        ]
 
     def test_both_loss_forms_rejected(self):
         with pytest.raises(ConfigError):
@@ -108,6 +112,14 @@ class TestConfigParsing:
     def test_unknown_source(self):
         with pytest.raises(ConfigError):
             load_config("no_such_config")
+
+    def test_directory_named_like_a_builtin(self, tmp_path, monkeypatch):
+        # An earlier `--out linear8` leaves a directory of that name behind.
+        (tmp_path / "linear8").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert load_config("linear8").graph_name == "linear8"
+        assert main(["criteria", "--config", "linear8", "--out", "linear8"]) == 0
+        assert main(["criteria", "--config", "linear8", "--out", "x", "--gains", "linear8"]) == 2
 
 
 class TestCompileCommand:
@@ -274,6 +286,17 @@ class TestCriteriaCommand:
             assert row["lhs"] == pytest.approx(swept[criterion.cid], abs=1e-12), criterion.cid
         assert rows[0]["lhs"] == pytest.approx(0.49999, abs=1e-5)
 
+    def test_unknown_gain_slot_is_a_config_error(self, tmp_path, capsys):
+        gains_file = tmp_path / "gains.json"
+        gains_file.write_text(json.dumps({"g_D6": 0.6}))  # a diamond slot
+        for command in ("criteria", "sample"):
+            argv = [command, "--config", "linear8", "--out", str(tmp_path)]
+            assert main(argv + ["--gains", str(gains_file)]) == 2
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps(base_config(gains={"g_L33": 0.5})))
+        assert main(["criteria", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "unknown gain slots ['g_L33']" in capsys.readouterr().err
+
     def test_bad_gains_flag(self, tmp_path):
         assert (
             main(
@@ -337,6 +360,56 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 9
+
+    def test_criterion_never_satisfied_is_reported(self, tmp_path, capsys):
+        raw = json.loads(
+            resources.files("cvcluster").joinpath("configs/diamond8_physical.json").read_text()
+        )
+        raw["loss"] = {"eta": 0.5}
+        raw["sweep"] = {"r_min": 0.0, "r_max": 1.0, "steps": 3}
+        config = tmp_path / "lossy.json"
+        config.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+        thresholds = json.loads((tmp_path / "thresholds.json").read_text())["thresholds"]
+        by_id = {t["criterion"]: t for t in thresholds}
+        # 4e needs more than r = 3 with unit gains: null with a note, while a
+        # null optimal threshold (satisfied on the whole grid) carries none.
+        assert by_id["4e"]["threshold_unit"] is None
+        assert by_id["4e"]["note"] == "never satisfied on (0, 3] with unit gains"
+        assert by_id["4e"]["threshold_optimal"] is None
+        assert by_id["4a"]["threshold_unit"] == pytest.approx(0.5493, abs=1e-4)
+        assert [t["criterion"] for t in thresholds if "never" in t.get("note", "")] == ["4e"]
+        out = capsys.readouterr().out
+        assert "4e: r > none (optimal gains: satisfied for all r > 0)" in out
+        assert "<-- never satisfied on (0, 3] with unit gains" in out
+
+    def test_custom_chain_matches_linear8(self, tmp_path):
+        # The chain given as a custom graph compiles to a gauge of the
+        # published network, so its generated criteria ("1-2", ...) give the
+        # lhs values of 3a..3g, matched by bipartition.
+        raw = json.loads(resources.files("cvcluster").joinpath("configs/linear8.json").read_text())
+        raw["graph"] = {"n": 8, "edges": [[a, a + 1] for a in range(1, 8)]}
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps(raw))
+        results = {}
+        for label, arg in (("custom", str(config)), ("builtin", "linear8")):
+            out = tmp_path / label
+            assert main(["criteria", "--config", arg, "--out", str(out)]) == 0
+            assert main(["sweep", "--config", arg, "--out", str(out)]) == 0
+            rows = json.loads((out / "criteria.json").read_text())["criteria"]
+            with open(out / "sweep.csv", newline="") as handle:
+                swept = list(csv.DictReader(handle))
+            results[label] = rows, swept
+        names = dict(zip([f"{a}-{a + 1}" for a in range(1, 8)], "abcdefg"))
+        (custom_rows, custom_swept), (rows, swept) = results["custom"], results["builtin"]
+        assert [names[row["id"]] for row in custom_rows] == list("abcdefg")
+        for custom, builtin in zip(custom_rows, rows):
+            assert abs(custom["lhs"] - builtin["lhs"]) <= 1e-12, custom["id"]
+        assert len(custom_swept) == len(swept)
+        for custom, builtin in zip(custom_swept, swept):
+            assert "3" + names[custom["criterion"]] == builtin["criterion"]
+            for column in ("lhs_unit", "lhs_optimal", "bound"):
+                assert abs(float(custom[column]) - float(builtin[column])) <= 1e-12
 
     def test_sweepless_config_rejected(self, tmp_path):
         config = tmp_path / "nosweep.json"

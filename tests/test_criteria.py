@@ -11,11 +11,10 @@ from cvcluster.config import parse_config
 from cvcluster.criteria import (
     Criterion,
     Term,
-    diamond_criteria,
     evaluate,
     full_inseparability_report,
+    graph_criteria,
     lhs_curve,
-    linear_criteria,
     optimal_gains_analytic,
     optimal_gains_numeric,
     realize,
@@ -25,6 +24,9 @@ from cvcluster.criteria import (
     vlf_bound,
 )
 from cvcluster.gaussian import LossModel, quadrature_variance, squeezing_terms, vacuum_state
+from cvcluster.network import compile_cluster_unitary
+
+from expected import PUBLISHED_CRITERIA
 
 
 def linear_state(r):
@@ -35,6 +37,9 @@ def diamond_state(r):
     return presets.cluster_state(presets.diamond8_unitary(), presets.experiment_pattern(r))
 
 
+LINEAR = presets.builtin_criteria("linear8")
+DIAMOND = presets.builtin_criteria("diamond8")
+BUILTIN = LINEAR + DIAMOND
 STATE_BUILDERS = {"3": linear_state, "4": diamond_state}
 ORIENTATIONS = presets.experiment_pattern(0.0).orientations
 LINEAR_TERMS = squeezing_terms(presets.chain8_unitary(), ORIENTATIONS)
@@ -45,19 +50,41 @@ def builder_for(criterion):
     return STATE_BUILDERS[criterion.cid[0]]
 
 
+@st.composite
+def criteria_sets(draw):
+    """The criteria of a builtin graph or of a random graph on 2..12 modes (with
+    a triangle on modes 1-3 in about half of them), together with the
+    squeezing terms of that graph's lossless cluster state."""
+    name = draw(st.sampled_from(["linear8", "diamond8", "random"]))
+    if name != "random":
+        terms = squeezing_terms(presets.builtin_unitary(name), ORIENTATIONS)
+        return presets.builtin_criteria(name), terms
+    n = draw(st.integers(2, 12))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    if n >= 3 and draw(st.booleans()):
+        edges |= {(1, 2), (2, 3), (1, 3)}
+    graph = graphs.Graph.from_edges(n, edges)
+    pattern = presets.experiment_pattern(0.0, n)
+    unitary = compile_cluster_unitary(
+        graphs.adjacency(graph), x_squeezed_inputs=range(1, n + 1, 2)
+    )
+    return graph_criteria(graph), squeezing_terms(unitary, pattern.orientations)
+
+
 class TestCriterionSets:
     def test_counts(self):
-        assert len(linear_criteria()) == 7
-        assert len(diamond_criteria()) == 9
+        assert len(LINEAR) == 7
+        assert len(DIAMOND) == 9
 
     def test_3a_template(self):
-        c = linear_criteria()[0]
+        c = LINEAR[0]
         assert c.u == (Term(1, "p", 1.0), Term(2, "x", -1.0))
         assert c.v == (Term(2, "p", 1.0), Term(1, "x", -1.0), Term(3, "x", -1.0, "g_L3"))
         assert c.bipartition == (1, 2)
 
     def test_4e_template(self):
-        c = diamond_criteria()[4]
+        c = DIAMOND[4]
         assert c.cid == "4e"
         assert c.u == (
             Term(4, "p", 1.0),
@@ -73,19 +100,35 @@ class TestCriterionSets:
         )
         assert c.bipartition == (4, 5)
 
+    @pytest.mark.parametrize("name", ["linear8", "diamond8"])
+    def test_generated_criteria_match_published_table(self, name):
+        table = PUBLISHED_CRITERIA[name]
+        criteria = presets.builtin_criteria(name)
+        assert [c.cid for c in criteria] == list(table)
+        rng = np.random.default_rng(5)
+        for c, (u, v, bipartition) in zip(criteria, table.values()):
+            published = [tuple(Term(*t) for t in side) for side in (u, v)]
+            slots = sorted({t.gain for side in published for t in side} - {None})
+            assert c.bipartition == bipartition and c.n == 8, c.cid
+            assert c.gain_names == tuple(slots), c.cid
+            # Vectors, not term order: the published 4b lists x2 before x1 in v.
+            for gains in (unit_gains(c), dict(zip(slots, rng.uniform(-3.0, 3.0, len(slots))))):
+                for side, terms in zip((c.u, c.v), published):
+                    assert np.array_equal(realize(side, 8, gains), realize(terms, 8, gains)), c.cid
+
     def test_bipartitions(self):
-        assert [c.bipartition for c in linear_criteria()] == [
+        assert [c.bipartition for c in LINEAR] == [
             (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8),
         ]
-        assert [c.bipartition for c in diamond_criteria()] == [
+        assert [c.bipartition for c in DIAMOND] == [
             (1, 3), (2, 3), (1, 4), (2, 4), (4, 5), (5, 7), (5, 8), (6, 7), (6, 8),
         ]
 
     @pytest.mark.parametrize(
         "criteria,graph",
         [
-            (linear_criteria(), graphs.linear_chain(8)),
-            (diamond_criteria(), graphs.two_diamond()),
+            (LINEAR, graphs.linear_chain(8)),
+            (DIAMOND, graphs.two_diamond()),
         ],
     )
     def test_unit_gains_reduce_to_two_nullifiers(self, criteria, graph):
@@ -103,7 +146,7 @@ class TestCriterionSets:
 
 class TestBound:
     def test_unit_gain_bound_is_one_for_all(self):
-        for c in linear_criteria() + diamond_criteria():
+        for c in BUILTIN:
             assert vlf_bound(c, unit_gains(c)) == pytest.approx(1.0, abs=1e-12)
 
     def test_epr_style_bound(self):
@@ -116,26 +159,25 @@ class TestBound:
         )
         assert vlf_bound(epr, {}) == pytest.approx(1.0, abs=1e-14)
 
-    @given(
-        gains=st.fixed_dictionaries(
-            {
-                name: st.floats(-5.0, 5.0)
-                for name in unit_gains(linear_criteria() + diamond_criteria())
-            }
-        )
-    )
-    def test_bound_is_one_under_any_gains(self, gains):
+    @given(case=criteria_sets(), data=st.data())
+    def test_bound_is_one_under_any_gains(self, case, data):
         # threshold_r takes the bound at unit gains; this holds because no gain
-        # slot scales a term that enters a symplectic product.
-        for c in linear_criteria() + diamond_criteria():
+        # slot scales a term that enters a symplectic product, so vlf_bound
+        # never meets a floating mode and the optimal-mode guard never trips.
+        criteria, terms = case
+        gains = data.draw(
+            st.fixed_dictionaries({name: st.floats(-5.0, 5.0) for name in unit_gains(criteria)})
+        )
+        for c in criteria:
             assert vlf_bound(c, gains) == 1.0, c.cid
+            threshold_r(c, terms, "optimal")
 
     def test_3a_bound_with_scaled_gain(self):
-        c = linear_criteria()[0]
+        c = LINEAR[0]
         assert vlf_bound(c, {"g_L3": 0.5}) == pytest.approx(1.0, abs=1e-14)
 
     def test_missing_gain_rejected(self):
-        c = linear_criteria()[0]
+        c = LINEAR[0]
         with pytest.raises(ValueError):
             vlf_bound(c, {})
         with pytest.raises(ValueError):
@@ -144,29 +186,29 @@ class TestBound:
 
 class TestEvaluate:
     def test_3a_at_effective_squeezing(self):
-        c = linear_criteria()[0]
+        c = LINEAR[0]
         result = evaluate(c, linear_state(0.30), unit_gains(c))
         assert result.lhs == pytest.approx(1.25 * np.exp(-0.6), abs=1e-12)
         assert result.lhs == pytest.approx(0.686, abs=5e-4)
         assert result.satisfied
 
     def test_3b_at_effective_squeezing(self):
-        c = linear_criteria()[1]
+        c = LINEAR[1]
         result = evaluate(c, linear_state(0.30), unit_gains(c))
         assert result.lhs == pytest.approx(1.5 * np.exp(-0.6), abs=1e-12)
         assert result.lhs == pytest.approx(0.823, abs=5e-4)
 
     def test_vacuum_not_certified(self):
         state = vacuum_state(8)
-        for c in linear_criteria():
+        for c in LINEAR:
             result = evaluate(c, state, unit_gains(c))
             assert result.lhs >= result.bound
             assert not result.satisfied
 
     def test_unit_gain_lhs_equals_nullifier_variance_sum(self):
         for criteria_set, graph, state in (
-            (linear_criteria(), graphs.linear_chain(8), linear_state(0.37)),
-            (diamond_criteria(), graphs.two_diamond(), diamond_state(0.37)),
+            (LINEAR, graphs.linear_chain(8), linear_state(0.37)),
+            (DIAMOND, graphs.two_diamond(), diamond_state(0.37)),
         ):
             vectors = presets.nullifier_vectors(graph)
             for c in criteria_set:
@@ -189,24 +231,24 @@ class TestOptimalGains:
         assert all(v == pytest.approx(0.0, abs=1e-14) for v in optimal_gains_analytic(0.0).values())
 
     def test_numeric_matches_analytic_single_slot(self):
-        c = linear_criteria()[0]
+        c = LINEAR[0]
         numeric = optimal_gains_numeric(c, linear_state(0.5))
         assert numeric["g_L3"] == pytest.approx(optimal_gains_analytic(0.5)["g_L3"], abs=1e-12)
 
     def test_numeric_zero_squeezing(self):
-        c = linear_criteria()[0]
+        c = LINEAR[0]
         numeric = optimal_gains_numeric(c, linear_state(0.0))
         assert numeric["g_L3"] == pytest.approx(0.0, abs=1e-9)
 
     def test_numeric_4e(self):
-        c = diamond_criteria()[4]
+        c = DIAMOND[4]
         numeric = optimal_gains_numeric(c, diamond_state(0.5))
         assert numeric["g_D6"] == pytest.approx(0.6005, abs=5e-5)
 
     @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 1.0])
     def test_numeric_matches_analytic_everywhere(self, r):
         analytic = optimal_gains_analytic(r)
-        for c in linear_criteria() + diamond_criteria():
+        for c in BUILTIN:
             numeric = optimal_gains_numeric(c, builder_for(c)(r))
             for name, value in numeric.items():
                 assert value == pytest.approx(analytic[name], abs=1e-12), (c.cid, name)
@@ -240,7 +282,7 @@ class TestOptimalGains:
 
     def test_lhs_convex_in_each_gain(self):
         state = linear_state(0.4)
-        for c in linear_criteria():
+        for c in LINEAR:
             gains = unit_gains(c)
             for name in c.gain_names:
                 def lhs(g):
@@ -253,18 +295,18 @@ class TestOptimalGains:
 
 class TestThresholds:
     def test_3a_unit_threshold(self):
-        value = threshold_r(linear_criteria()[0], LINEAR_TERMS, "unit")
+        value = threshold_r(LINEAR[0], LINEAR_TERMS, "unit")
         assert value == pytest.approx(0.5 * np.log(1.25), abs=1e-4)
 
     def test_4c_unit_threshold(self):
-        value = threshold_r(diamond_criteria()[2], DIAMOND_TERMS, "unit")
+        value = threshold_r(DIAMOND[2], DIAMOND_TERMS, "unit")
         assert value == pytest.approx(0.5 * np.log(1.75), abs=1e-4)
 
     def test_3a_optimal_never_crosses(self):
-        assert threshold_r(linear_criteria()[0], LINEAR_TERMS, "optimal") is None
+        assert threshold_r(LINEAR[0], LINEAR_TERMS, "optimal") is None
 
     def test_threshold_brackets_the_crossing(self):
-        c = linear_criteria()[0]
+        c = LINEAR[0]
         value = threshold_r(c, LINEAR_TERMS, "unit")
         eps = 1e-4
         above = evaluate(c, linear_state(value + eps), unit_gains(c))
@@ -273,7 +315,7 @@ class TestThresholds:
 
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
-            threshold_r(linear_criteria()[0], LINEAR_TERMS, "tuned")
+            threshold_r(LINEAR[0], LINEAR_TERMS, "tuned")
 
     def test_optimal_mode_rejects_gain_dependent_bound(self):
         # The slot scales x_2, and the other side holds p_2, so the bound moves
@@ -312,7 +354,7 @@ class TestLhsCurve:
 
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
-            lhs_curve(linear_criteria()[0], LINEAR_TERMS, [0.3], "tuned")
+            lhs_curve(LINEAR[0], LINEAR_TERMS, [0.3], "tuned")
 
 
 def closed_form_threshold(criterion, unitary, loss):
@@ -371,31 +413,42 @@ def test_thresholds_match_closed_form(label):
 
 class TestReports:
     def test_linear_all_satisfied_at_effective_squeezing(self):
-        criteria = linear_criteria()
+        criteria = LINEAR
         gains = resolve_gains(criteria, "unit")
         report = full_inseparability_report(criteria, linear_state(0.30), gains)
         assert report.all_satisfied
         assert len(report.results) == 7
 
     def test_vacuum_fails_everywhere(self):
-        criteria = linear_criteria()
+        criteria = LINEAR
         gains = resolve_gains(criteria, "unit")
         report = full_inseparability_report(criteria, vacuum_state(8), gains)
         assert not report.all_satisfied
         assert all(not r.satisfied for r in report.results)
 
     def test_diamond_with_tuned_gain_all_satisfied(self):
-        criteria = diamond_criteria()
+        criteria = DIAMOND
         gains = resolve_gains(criteria, {"g_D6": 0.60})
         report = full_inseparability_report(criteria, diamond_state(0.30), gains)
         assert report.all_satisfied
         assert len(report.results) == 9
 
     def test_resolve_gains_validation(self):
-        criteria = linear_criteria()
+        criteria = LINEAR
         with pytest.raises(ValueError):
             resolve_gains(criteria, {"g_D6": 0.5})  # not a chain slot
         with pytest.raises(ValueError):
             resolve_gains(criteria, "optimal")  # needs a state
         with pytest.raises(ValueError):
             resolve_gains(criteria, 3.5)
+
+    def test_criteria_that_miss_a_split_do_not_certify(self):
+        # Edges 1-2 and 3-4 leave the split {1, 2} | {3, 4} unrefuted even
+        # though both of their criteria are satisfied.
+        graph = graphs.Graph.from_edges(4, [(1, 2), (3, 4)])
+        unitary = compile_cluster_unitary(graphs.adjacency(graph), x_squeezed_inputs=(1, 3))
+        state = presets.cluster_state(unitary, presets.experiment_pattern(0.8, 4))
+        criteria = graph_criteria(graph)
+        report = full_inseparability_report(criteria, state, resolve_gains(criteria, "unit"))
+        assert [r.satisfied for r in report.results] == [True, True]
+        assert not report.all_satisfied

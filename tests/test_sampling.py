@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cvcluster import graphs, presets
-from cvcluster.criteria import linear_criteria, realize, unit_gains
+from cvcluster.criteria import realize, unit_gains
 from cvcluster.gaussian import combination_vector, quadrature_variance, vacuum_state
 from cvcluster.sampling import estimate_db, estimate_variance, sample_quadratures
 
@@ -69,7 +69,7 @@ def test_vacuum_combination_near_half():
 
 def test_criterion_3a_lhs_from_samples():
     state = chain8_state(0.30)
-    c = linear_criteria()[0]
+    c = presets.builtin_criteria("linear8")[0]
     gains = unit_gains(c)
     batch = sample_quadratures(state, 400_000, seed=8)
     total, spread = 0.0, 0.0
