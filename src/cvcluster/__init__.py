@@ -47,7 +47,6 @@ from .criteria import (
     full_inseparability_report,
     graph_criteria,
     lhs_curve,
-    optimal_gains_analytic,
     optimal_gains_numeric,
     threshold_r,
     unit_gains,

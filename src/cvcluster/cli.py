@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, graphs, presets, reference
-from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, load_config
+from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, _finite, load_config
 from .criteria import (
     full_inseparability_report,
     lhs_curve,
@@ -85,8 +85,9 @@ def _resolve_gains(args, config: ExperimentConfig, criteria, state):
         if not path.is_file():
             raise ConfigError(f"--gains must be 'unit', 'optimal' or a JSON file, got {spec!r}")
         try:
-            spec = {str(k): float(v) for k, v in json.loads(path.read_text()).items()}
-        except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
+            values = json.loads(path.read_text())
+            spec = {str(k): _finite(v, f"gain {k}") for k, v in values.items()}
+        except (json.JSONDecodeError, AttributeError, ValueError) as exc:
             raise ConfigError(f"invalid gains file {path}: {exc}") from exc
     try:
         return resolve_gains(criteria, spec, state=state)
@@ -375,6 +376,8 @@ def cmd_sample(args) -> int:
     config = load_config(args.config)
     if args.n < 2:
         raise ConfigError("sampling needs --n of at least 2 for a variance estimate")
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     out = Path(args.out)
     label = _graph_label(config)
     state = config.build_state()

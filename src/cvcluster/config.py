@@ -104,13 +104,30 @@ def _parse_graph(raw) -> tuple[graphs.Graph, str | None]:
     raise ConfigError("graph must be a builtin name or an object with n and edges")
 
 
+def _finite(value, what: str) -> float:
+    """A config number; a value that is not a finite number is a config error."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _per_mode(raw, n: int, what: str) -> tuple[float, ...]:
+    """One finite number per mode, from a list or a single value for all modes."""
+    if not isinstance(raw, (list, tuple)):
+        return (_finite(raw, what),) * n
+    if len(raw) != n:
+        raise ConfigError(f"need {n} values of {what}, got {len(raw)}")
+    return tuple(_finite(v, what) for v in raw)
+
+
 def _parse_pattern(raw, n: int) -> SqueezePattern:
     if not isinstance(raw, Mapping) or "r" not in raw:
         raise ConfigError("squeeze section must be an object with an 'r' entry")
-    r = raw["r"]
-    rs = tuple(float(v) for v in r) if isinstance(r, (list, tuple)) else (float(r),) * n
-    if len(rs) != n:
-        raise ConfigError(f"need {n} squeezing values, got {len(rs)}")
+    rs = _per_mode(raw["r"], n, "squeeze.r")
     orientations = raw.get("orientations")
     if orientations is None:
         pattern = SqueezePattern.alternating(n, 0.0, first="x")
@@ -130,15 +147,12 @@ def _parse_loss(raw, n: int) -> tuple[LossModel | None, float | None]:
         raise ConfigError("loss section must be an object")
     keys = set(raw)
     if keys == {"effective_r"}:
-        value = float(raw["effective_r"])
+        value = _finite(raw["effective_r"], "loss.effective_r")
         if value < 0:
             raise ConfigError("effective_r must be >= 0")
         return None, value
     if keys == {"eta"}:
-        eta = raw["eta"]
-        etas = tuple(float(v) for v in eta) if isinstance(eta, (list, tuple)) else (float(eta),) * n
-        if len(etas) != n:
-            raise ConfigError(f"need {n} efficiencies, got {len(etas)}")
+        etas = _per_mode(raw["eta"], n, "loss.eta")
         try:
             return LossModel(etas=etas), None
         except ValueError as exc:
@@ -152,7 +166,7 @@ def _parse_gains(raw):
     if raw in ("unit", "optimal"):
         return raw
     if isinstance(raw, Mapping):
-        return {str(k): float(v) for k, v in raw.items()}
+        return {str(k): _finite(v, f"gain {k}") for k, v in raw.items()}
     raise ConfigError("gains must be 'unit', 'optimal' or a slot-to-value mapping")
 
 
@@ -162,10 +176,10 @@ def _parse_sweep(raw) -> tuple[float, float, int] | None:
     if not isinstance(raw, Mapping):
         raise ConfigError("sweep section must be an object")
     try:
-        r_min = float(raw["r_min"])
-        r_max = float(raw["r_max"])
+        r_min = _finite(raw["r_min"], "sweep.r_min")
+        r_max = _finite(raw["r_max"], "sweep.r_max")
         steps = int(raw["steps"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"sweep needs numeric r_min, r_max and steps: {exc}") from exc
     if steps < 1 or r_max < r_min or r_min < 0:
         raise ConfigError("sweep needs 0 <= r_min <= r_max and steps >= 1")

@@ -15,7 +15,6 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -39,9 +38,6 @@ __all__ = [
     "realize",
     "vlf_bound",
     "evaluate",
-    "linear_optimal_gains",
-    "diamond_optimal_gains",
-    "optimal_gains_analytic",
     "optimal_gains_numeric",
     "resolve_gains",
     "lhs_curve",
@@ -64,9 +60,14 @@ class Term:
 
 @dataclass(frozen=True)
 class Criterion:
-    """One inseparability inequality.
+    """One inseparability inequality on a nullifier pair.
 
-    ``bipartition`` is the mode pair whose separation the inequality refutes.
+    ``bipartition`` is the mode pair (a, b) whose separation the inequality
+    refutes.  Construction checks the shape of van Loock & Furusawa: u carries
+    its only p term on a and v its only p term on b, neither p term has a gain
+    slot, u has no x term on a and v none on b, and the partner's x term (x_b
+    in u, x_a in v) has no slot.  Only a and b then enter the symplectic
+    products, and the bound does not depend on the gains.
     """
 
     cid: str
@@ -74,6 +75,18 @@ class Criterion:
     v: tuple[Term, ...]
     bipartition: tuple[int, int]
     n: int
+
+    def __post_init__(self) -> None:
+        a, b = self.bipartition
+        for terms, own, partner in ((self.u, a, b), (self.v, b, a)):
+            p_terms = [(t.mode, t.gain) for t in terms if t.quadrature == "p"]
+            x_terms = [(t.mode, t.gain) for t in terms if t.quadrature == "x"]
+            if p_terms != [(own, None)] or any(
+                m == own or (m == partner and g is not None) for m, g in x_terms
+            ):
+                raise ValueError(
+                    f"criterion {self.cid} is not a nullifier pair on modes {a} and {b}"
+                )
 
     @property
     def gain_names(self) -> tuple[str, ...]:
@@ -149,30 +162,20 @@ def realize(terms: tuple[Term, ...], n: int, gains: GainSet) -> np.ndarray:
 
 
 def vlf_bound(criterion: Criterion, gains: GainSet) -> float:
-    """Separability bound for the criterion's bipartition.
+    """Separability bound for the criterion's bipartition (a, b).
 
-    Every mode contributes the symplectic product of its u and v coefficients
-    (u_x v_p - u_p v_x).  The bound is half the sum of the absolute group
-    totals, the distinguished modes anchoring the two groups and any other
-    contributing mode assigned to whichever group gives the smaller bound.
+    Each mode contributes the symplectic product u_x v_p - u_p v_x of its
+    coefficients, and on a nullifier pair only a and b contribute, so the
+    bound is (|u_p[a] v_x[a]| + |u_x[b] v_p[b]|) / 2: exactly 1 for nullifiers.
     """
     n = criterion.n
     u, v = realize(criterion.u, n, gains), realize(criterion.v, n, gains)
-    products = u[:n] * v[n:] - u[n:] * v[:n]
-    m, k = criterion.bipartition
-    floating = [c for j, c in enumerate(products, 1) if j not in (m, k) and c != 0.0]
-    best = np.inf
-    for assignment in product((0, 1), repeat=len(floating)):
-        side_m = products[m - 1] + sum(c for c, s in zip(floating, assignment) if s == 0)
-        side_k = products[k - 1] + sum(c for c, s in zip(floating, assignment) if s == 1)
-        best = min(best, 0.5 * (abs(side_m) + abs(side_k)))
-    return float(best)
+    a, b = criterion.bipartition
+    return float(0.5 * (abs(u[n + a - 1] * v[a - 1]) + abs(u[b - 1] * v[n + b - 1])))
 
 
 def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> CriterionResult:
     """Variance sum, bound and verdict of one criterion on a state."""
-    if state.n != criterion.n:
-        raise ValueError(f"state has {state.n} modes, criterion expects {criterion.n}")
     u_vec = realize(criterion.u, criterion.n, gains)
     v_vec = realize(criterion.v, criterion.n, gains)
     u_var = quadrature_variance(state, u_vec)
@@ -190,47 +193,6 @@ def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> Crit
         v_db=variance_db(v_var, qnl_variance(v_vec)),
         gains={name: float(gains[name]) for name in criterion.gain_names},
     )
-
-
-def linear_optimal_gains(r: float) -> dict[str, float]:
-    """Closed-form variance-minimising gains for the chain criteria."""
-    e4 = np.exp(4.0 * r)
-    g1 = 21.0 * (e4 - 1.0) / (13.0 + 21.0 * e4)
-    g2 = 13.0 * (e4 - 1.0) / (21.0 + 13.0 * e4)
-    g3 = 8.0 * (e4 - 1.0) / (9.0 + 8.0 * e4)
-    g4 = 15.0 * (e4 - 1.0) / (19.0 + 15.0 * e4)
-    return {
-        "g_L1": g1,
-        "g_L2": g2,
-        "g_L3": g3,
-        "g_L4": g4,
-        "g_L5": g4,
-        "g_L6": g3,
-        "g_L7": g2,
-        "g_L8": g1,
-    }
-
-
-def diamond_optimal_gains(r: float) -> dict[str, float]:
-    """Closed-form variance-minimising gains for the two-diamond criteria."""
-    e4 = np.exp(4.0 * r)
-    e8 = np.exp(8.0 * r)
-    coupled_denom = 7.0 + 18.0 * e4 + 9.0 * e8
-    return {
-        "g_D1": 15.0 * (e4 - 1.0) / (19.0 + 15.0 * e4),
-        "g_D2": 21.0 * (e4 - 1.0) / (13.0 + 21.0 * e4),
-        "g_D3": 9.0 * (e4 - 1.0) / (8.0 + 9.0 * e4),
-        "g_D4": 9.0 * (e8 - 1.0) / coupled_denom,
-        "g_D5": 3.0 * (3.0 * e8 - 2.0 * e4 - 1.0) / coupled_denom,
-        "g_D6": 4.0 * (e4 - 1.0) / (13.0 + 4.0 * e4),
-    }
-
-
-def optimal_gains_analytic(r: float) -> dict[str, float]:
-    """Chain and diamond gain tables merged (the slot names are disjoint)."""
-    gains = linear_optimal_gains(r)
-    gains.update(diamond_optimal_gains(r))
-    return gains
 
 
 def _affine_form(criterion: Criterion) -> tuple[np.ndarray, np.ndarray]:
@@ -324,15 +286,9 @@ def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit"
     Scans r over (0, 3] in steps of 0.05 and bisects the first sign change of
     ``lhs(r) - bound`` to within 1e-6.  Returns None when the criterion is
     satisfied on the whole grid, which is the optimal-gain behaviour, and
-    inf when it is satisfied nowhere on it, as under heavy loss.  The
-    bound is taken once, at unit gains, so with optimal gains a criterion
-    whose gain slots scale a term of a symplectic product is rejected.
+    inf when it is satisfied nowhere on it, as under heavy loss.  The bound
+    of a nullifier pair does not depend on the gains, so it is taken once.
     """
-    c0, rows = _affine_form(criterion)
-    gained = np.abs(rows).sum(axis=1)
-    conjugate = np.roll(np.abs(c0) + gained, c0.shape[1] // 2, axis=1)[::-1]
-    if gain_mode == "optimal" and np.any(gained * conjugate):
-        raise ValueError(f"the bound of criterion {criterion.cid} depends on its gains")
     bound = vlf_bound(criterion, unit_gains(criterion))
     grid = np.linspace(0.0, 3.0, 61)
     lhs = lhs_curve(criterion, terms, grid[1:], gain_mode)

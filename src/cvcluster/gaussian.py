@@ -26,6 +26,7 @@ __all__ = [
     "input_covariance",
     "omega",
     "symplectic_from_unitary",
+    "cluster_state",
     "squeezing_terms",
     "evolve",
     "apply_loss",
@@ -188,21 +189,45 @@ def apply_loss(state: GaussianState, loss: LossModel) -> GaussianState:
     return GaussianState(cov=cov)
 
 
+def _channel(u: np.ndarray, n: int, loss: LossModel | None) -> tuple[np.ndarray, np.ndarray]:
+    """T = D S and floor = (1 - eta)/4 of network ``u`` then ``loss``, checked.
+
+    The channel maps cov -> T cov T^T + diag(floor), with D = diag(sqrt(eta)).
+    """
+    s = symplectic_from_unitary(u)
+    if s.shape[0] != 2 * n or (loss is not None and len(loss.etas) != n):
+        raise ValueError("squeezing, loss and network mode counts differ")
+    d = np.ones(2 * n) if loss is None else np.sqrt(np.tile(loss.etas, 2))
+    return d[:, None] * s, VACUUM_VARIANCE * (1.0 - d * d)
+
+
+def cluster_state(
+    unitary: np.ndarray,
+    pattern: SqueezePattern,
+    loss: LossModel | None = None,
+) -> GaussianState:
+    """Squeezed inputs through the network and optional loss, validated once.
+
+    One channel product T diag(v_in) T^T + diag(floor) (Weedbrook et al., RMP
+    84, 621 (2012)); ``apply_loss(evolve(input_covariance(...)))`` is the
+    step-by-step reference route.
+    """
+    t, floor = _channel(unitary, pattern.n, loss)
+    return GaussianState(cov=(t * _input_variances(pattern)) @ t.T + np.diag(floor))
+
+
 def squeezing_terms(u: np.ndarray, orientations, loss: LossModel | None = None) -> np.ndarray:
     """Output covariance as data in r: cov(r) = e^{-2r} K[0] + e^{2r} K[1] + K[2].
 
     Holds when every input is squeezed by the same r with the given
-    orientations, sent through the network ``u`` and then ``loss``.  K[0] and
-    K[1] are the squeezed and anti-squeezed input quadratures pulled through
-    network and loss; K[2] is the vacuum the loss adds.
+    orientations: the product of :func:`cluster_state` with the input columns
+    grouped by e^{-2r} (K[0], squeezed) and e^{2r} (K[1], anti-squeezed); K[2]
+    is the vacuum the loss adds.
     """
-    s = symplectic_from_unitary(u)
     mask = _squeezed_quadratures(orientations)
-    if mask.size != s.shape[0] or (loss is not None and 2 * len(loss.etas) != mask.size):
-        raise ValueError("orientation, loss and network mode counts differ")
-    d = np.ones(mask.size) if loss is None else np.sqrt(np.tile(loss.etas, 2))
-    squeezed, anti = d[:, None] * s[:, mask], d[:, None] * s[:, ~mask]
-    return VACUUM_VARIANCE * np.stack([squeezed @ squeezed.T, anti @ anti.T, np.diag(1.0 - d * d)])
+    t, floor = _channel(u, mask.size // 2, loss)
+    groups = (t[:, mask], t[:, ~mask])
+    return np.stack([VACUUM_VARIANCE * (g @ g.T) for g in groups] + [np.diag(floor)])
 
 
 def combination_vector(n: int, terms) -> np.ndarray:

@@ -3,7 +3,8 @@
 Both networks take amplitude-squeezed inputs on modes 1, 3, 5, 7 and
 phase-squeezed inputs on modes 2, 4, 6, 8.  The chain network comes out of
 the Gram pipeline with the published pivot signs; the two-diamond network is
-the chain network followed by local output phases.
+the chain network followed by local output phases.  ``cluster_state``, the
+state builder of :mod:`cvcluster.gaussian`, is bound here for their callers.
 """
 
 from __future__ import annotations
@@ -13,16 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import graphs
-from .gaussian import (
-    GaussianState,
-    LossModel,
-    SqueezePattern,
-    apply_loss,
-    combination_vector,
-    evolve,
-    input_covariance,
-    symplectic_from_unitary,
-)
+from .gaussian import SqueezePattern, cluster_state, combination_vector
 from .criteria import Criterion, graph_criteria
 from .network import (
     assemble_unitary,
@@ -134,15 +126,3 @@ def builtin_criteria(name: str) -> list[Criterion]:
 def nullifier_vectors(graph: graphs.Graph) -> list[np.ndarray]:
     """Output-quadrature coefficient vectors of the graph's nullifiers."""
     return [combination_vector(graph.n, nf.terms()) for nf in graphs.nullifiers(graph)]
-
-
-def cluster_state(
-    unitary: np.ndarray,
-    pattern: SqueezePattern,
-    loss: LossModel | None = None,
-) -> GaussianState:
-    """Squeezed inputs propagated through the network, with optional loss."""
-    state = evolve(input_covariance(pattern), symplectic_from_unitary(unitary))
-    if loss is not None:
-        state = apply_loss(state, loss)
-    return state

@@ -1,8 +1,8 @@
 """Frozen reference values shared by the test modules.
 
 The two network matrices, the chain Gram inverse and the 16 inequalities
-are written out from the published tables; nothing here is produced by the
-code under test.
+are written out from the published tables, and the optimal gains of those
+inequalities in closed form; nothing here is produced by the code under test.
 """
 
 from fractions import Fraction
@@ -130,3 +130,44 @@ PUBLISHED_CRITERIA = {
     },
 }
 
+
+
+def linear_optimal_gains(r: float) -> dict[str, float]:
+    """Closed-form variance-minimising gains for the chain criteria."""
+    e4 = np.exp(4.0 * r)
+    g1 = 21.0 * (e4 - 1.0) / (13.0 + 21.0 * e4)
+    g2 = 13.0 * (e4 - 1.0) / (21.0 + 13.0 * e4)
+    g3 = 8.0 * (e4 - 1.0) / (9.0 + 8.0 * e4)
+    g4 = 15.0 * (e4 - 1.0) / (19.0 + 15.0 * e4)
+    return {
+        "g_L1": g1,
+        "g_L2": g2,
+        "g_L3": g3,
+        "g_L4": g4,
+        "g_L5": g4,
+        "g_L6": g3,
+        "g_L7": g2,
+        "g_L8": g1,
+    }
+
+
+def diamond_optimal_gains(r: float) -> dict[str, float]:
+    """Closed-form variance-minimising gains for the two-diamond criteria."""
+    e4 = np.exp(4.0 * r)
+    e8 = np.exp(8.0 * r)
+    coupled_denom = 7.0 + 18.0 * e4 + 9.0 * e8
+    return {
+        "g_D1": 15.0 * (e4 - 1.0) / (19.0 + 15.0 * e4),
+        "g_D2": 21.0 * (e4 - 1.0) / (13.0 + 21.0 * e4),
+        "g_D3": 9.0 * (e4 - 1.0) / (8.0 + 9.0 * e4),
+        "g_D4": 9.0 * (e8 - 1.0) / coupled_denom,
+        "g_D5": 3.0 * (3.0 * e8 - 2.0 * e4 - 1.0) / coupled_denom,
+        "g_D6": 4.0 * (e4 - 1.0) / (13.0 + 4.0 * e4),
+    }
+
+
+def optimal_gains_analytic(r: float) -> dict[str, float]:
+    """Chain and diamond gain tables merged (the slot names are disjoint)."""
+    gains = linear_optimal_gains(r)
+    gains.update(diamond_optimal_gains(r))
+    return gains

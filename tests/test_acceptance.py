@@ -11,7 +11,6 @@ from cvcluster import graphs, network, presets, reference
 from cvcluster.config import load_config
 from cvcluster.criteria import (
     evaluate,
-    optimal_gains_analytic,
     optimal_gains_numeric,
     realize,
     resolve_gains,
@@ -33,7 +32,7 @@ from cvcluster.gaussian import (
 )
 from cvcluster.sampling import estimate_variance, sample_quadratures
 
-from expected import CHAIN8_GRAM_INVERSE, CHAIN8_UNITARY
+from expected import CHAIN8_GRAM_INVERSE, CHAIN8_UNITARY, optimal_gains_analytic
 
 
 def linear_state(r):

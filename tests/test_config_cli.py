@@ -454,6 +454,11 @@ class TestSampleCommand:
             main(["sample", "--config", "linear8", "--out", str(tmp_path), "--n", "1"]) == 2
         )
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        argv = ["sample", "--config", "linear8", "--out", str(tmp_path), "--seed", "-1"]
+        assert main(argv + ["--n", "10"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer\n"
+
 
 def test_round_trip_is_deterministic(tmp_path):
     # compile -> simulate -> criteria twice; every artefact byte-identical.
@@ -475,6 +480,39 @@ def test_builtin_graph_with_other_orientations_exit_code(tmp_path):
     config.write_text(json.dumps(base_config(squeeze={"r": 0.5, "orientations": ["p", "x"] * 4})))
     for command in ("compile", "simulate"):
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+
+
+SHORT_SWEEP = {"r_min": 0.0, "r_max": 1.0, "steps": 3}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"squeeze": {"r": "strong"}},
+        {"loss": {"eta": [0.9] * 7 + ["high"]}},
+        {"loss": {"effective_r": "low"}},
+        {"gains": {"g_L3": "half"}},
+        {"loss": {"effective_r": float("nan")}},
+        {"loss": {"effective_r": float("inf")}},
+        {"sweep": {**SHORT_SWEEP, "r_min": float("nan")}},
+    ],
+    ids=["r_text", "eta_text", "effective_r_text", "gain_text", "effective_r_nan",
+         "effective_r_inf", "r_min_nan"],
+)
+def test_values_that_are_not_finite_numbers_exit_code(tmp_path, capsys, overrides):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(base_config(**{"sweep": SHORT_SWEEP, **overrides})))
+    for command in ("criteria", "sweep"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_finite_gains_file_exit_code(tmp_path, capsys):
+    gains_file = tmp_path / "gains.json"
+    gains_file.write_text(json.dumps({"g_L3": float("nan")}))
+    argv = ["criteria", "--config", "linear8", "--out", str(tmp_path), "--gains", str(gains_file)]
+    assert main(argv) == 2
+    assert "gain g_L3 must be finite" in capsys.readouterr().err
 
 
 def test_malformed_config_exit_code(tmp_path):

@@ -15,7 +15,6 @@ from cvcluster.criteria import (
     full_inseparability_report,
     graph_criteria,
     lhs_curve,
-    optimal_gains_analytic,
     optimal_gains_numeric,
     realize,
     resolve_gains,
@@ -26,7 +25,7 @@ from cvcluster.criteria import (
 from cvcluster.gaussian import LossModel, quadrature_variance, squeezing_terms, vacuum_state
 from cvcluster.network import compile_cluster_unitary
 
-from expected import PUBLISHED_CRITERIA
+from expected import PUBLISHED_CRITERIA, optimal_gains_analytic
 
 
 def linear_state(r):
@@ -149,21 +148,10 @@ class TestBound:
         for c in BUILTIN:
             assert vlf_bound(c, unit_gains(c)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_epr_style_bound(self):
-        epr = Criterion(
-            "epr",
-            (Term(1, "x", 1.0), Term(2, "x", -1.0)),
-            (Term(1, "p", 1.0), Term(2, "p", 1.0)),
-            (1, 2),
-            n=2,
-        )
-        assert vlf_bound(epr, {}) == pytest.approx(1.0, abs=1e-14)
-
     @given(case=criteria_sets(), data=st.data())
     def test_bound_is_one_under_any_gains(self, case, data):
         # threshold_r takes the bound at unit gains; this holds because no gain
-        # slot scales a term that enters a symplectic product, so vlf_bound
-        # never meets a floating mode and the optimal-mode guard never trips.
+        # slot scales a term that enters a symplectic product.
         criteria, terms = case
         gains = data.draw(
             st.fixed_dictionaries({name: st.floats(-5.0, 5.0) for name in unit_gains(criteria)})
@@ -182,6 +170,59 @@ class TestBound:
             vlf_bound(c, {})
         with pytest.raises(ValueError):
             evaluate(c, linear_state(0.3), {})
+
+
+def nullifier_side(own, partner, partner_gain=None, p_gain=None):
+    """p_own - x_partner - x_9 with a slot on x_9, as graph_criteria builds it."""
+    return (
+        Term(own, "p", 1.0, p_gain),
+        Term(partner, "x", -1.0, partner_gain),
+        Term(9, "x", -1.0, "g"),
+    )
+
+
+class TestCriterionShape:
+    """Construction accepts only nullifier pairs, whose bound is 1 under any gains."""
+
+    def test_epr_style_pair_rejected(self):
+        # x_1 - x_2 and p_1 + p_2 certify the pair with bound 1 as well, but
+        # neither side is a nullifier: u has no p term and v has two.
+        with pytest.raises(ValueError, match="not a nullifier pair"):
+            Criterion(
+                "epr",
+                (Term(1, "x", 1.0), Term(2, "x", -1.0)),
+                (Term(1, "p", 1.0), Term(2, "p", 1.0)),
+                (1, 2),
+                n=2,
+            )
+
+    def test_gain_dependent_bound_rejected(self):
+        # The slot scales x_2, and the other side holds p_2, so the bound would
+        # move with the gain and one bound per criterion would be wrong.
+        with pytest.raises(ValueError, match="not a nullifier pair"):
+            Criterion(
+                "t",
+                (Term(1, "x", 1.0), Term(2, "x", -1.0, "g")),
+                (Term(1, "p", 1.0), Term(2, "p", 1.0)),
+                (1, 2),
+                n=2,
+            )
+
+    @pytest.mark.parametrize(
+        "u,v",
+        [
+            (nullifier_side(1, 2, partner_gain="h"), nullifier_side(2, 1)),
+            (nullifier_side(1, 2), nullifier_side(2, 1, partner_gain="h")),
+            (nullifier_side(1, 2, p_gain="h"), nullifier_side(2, 1)),
+            (nullifier_side(1, 2), nullifier_side(2, 1, p_gain="h")),
+            (nullifier_side(1, 2) + (Term(1, "x", 0.5),), nullifier_side(2, 1)),
+            (nullifier_side(3, 2), nullifier_side(2, 1)),
+        ],
+        ids=["partner_slot_u", "partner_slot_v", "p_slot_u", "p_slot_v", "own_x", "p_off_pair"],
+    )
+    def test_malformed_pair_rejected(self, u, v):
+        with pytest.raises(ValueError, match="not a nullifier pair"):
+            Criterion("t", u, v, (1, 2), n=9)
 
 
 class TestEvaluate:
@@ -316,20 +357,6 @@ class TestThresholds:
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
             threshold_r(LINEAR[0], LINEAR_TERMS, "tuned")
-
-    def test_optimal_mode_rejects_gain_dependent_bound(self):
-        # The slot scales x_2, and the other side holds p_2, so the bound moves
-        # with the gain and one bound per criterion would be wrong.
-        c = Criterion(
-            "t",
-            (Term(1, "x", 1.0), Term(2, "x", -1.0, "g")),
-            (Term(1, "p", 1.0), Term(2, "p", 1.0)),
-            (1, 2),
-            n=2,
-        )
-        assert vlf_bound(c, {"g": 0.5}) != vlf_bound(c, {"g": 1.0})
-        with pytest.raises(ValueError):
-            threshold_r(c, squeezing_terms(np.eye(2), ("x", "p")), "optimal")
 
 
 class TestLhsCurve:

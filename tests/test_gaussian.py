@@ -252,6 +252,62 @@ def expanded_covariance(terms, r):
     return np.exp(-2 * r) * terms[0] + np.exp(2 * r) * terms[1] + terms[2]
 
 
+def composed_covariance(u, pattern, loss):
+    """Reference route: inputs, network and loss applied one validated step at a time."""
+    state = evolve(input_covariance(pattern), symplectic_from_unitary(u))
+    return (state if loss is None else apply_loss(state, loss)).cov
+
+
+@st.composite
+def cluster_networks(draw):
+    """Compiled network of a random graph on 2..12 modes with random orientations."""
+    n = draw(st.integers(2, 12))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    graph = graphs.Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))))
+    orientations = tuple(draw(st.lists(st.sampled_from("xp"), min_size=n, max_size=n)))
+    x_inputs = tuple(j + 1 for j, o in enumerate(orientations) if o == "x")
+    u = network.compile_cluster_unitary(graphs.adjacency(graph), x_squeezed_inputs=x_inputs)
+    return u, orientations
+
+
+class TestClusterState:
+    @given(case=cluster_networks(), data=st.data())
+    def test_random_graphs_match_composed_route(self, case, data):
+        u, orientations = case
+        n = len(orientations)
+        rs = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+        etas = data.draw(
+            st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        )
+        pattern = SqueezePattern(orientations, tuple(rs))
+        loss = None if etas is None else LossModel(tuple(etas))
+        cov = presets.cluster_state(u, pattern, loss=loss).cov
+        reference = composed_covariance(u, pattern, loss)
+        assert np.max(np.abs(cov - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("loss", [None, LossModel.uniform(8, 0.8)])
+    def test_one_validated_state_per_call(self, monkeypatch, loss):
+        validated = []
+        original = GaussianState.__post_init__
+
+        def counting(state):
+            validated.append(state)
+            original(state)
+
+        monkeypatch.setattr(GaussianState, "__post_init__", counting)
+        pattern = presets.experiment_pattern(0.5)
+        state = presets.cluster_state(presets.chain8_unitary(), pattern, loss)
+        assert validated == [state]
+
+    def test_mode_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            presets.cluster_state(np.eye(2), presets.experiment_pattern(0.5, 3))
+        with pytest.raises(ValueError):
+            presets.cluster_state(
+                np.eye(2), presets.experiment_pattern(0.5, 2), LossModel.uniform(3, 0.9)
+            )
+
+
 class TestSqueezingTerms:
     @given(
         name=st.sampled_from(["linear8", "diamond8"]),
@@ -274,13 +330,14 @@ class TestSqueezingTerms:
         lossy=st.booleans(),
     )
     def test_random_graphs_match_cluster_state(self, n, seed, r, lossy):
+        # Against the composed route: cluster_state shares the channel product.
         rng = np.random.default_rng(seed)
         upper = np.triu((rng.random((n, n)) < 0.45).astype(float), k=1)
         orientations = tuple(rng.choice(["x", "p"], n))
         x_inputs = tuple(j + 1 for j, o in enumerate(orientations) if o == "x")
         u = network.compile_cluster_unitary(upper + upper.T, x_squeezed_inputs=x_inputs)
         loss = LossModel(tuple(rng.uniform(0.0, 1.0, n))) if lossy else None
-        cov = presets.cluster_state(u, SqueezePattern(orientations, (r,) * n), loss=loss).cov
+        cov = composed_covariance(u, SqueezePattern(orientations, (r,) * n), loss)
         expanded = expanded_covariance(squeezing_terms(u, orientations, loss), r)
         assert np.max(np.abs(expanded - cov)) <= 1e-12 * np.max(np.abs(cov))
 
