@@ -52,7 +52,13 @@ from .criteria import (
     unit_gains,
     vlf_bound,
 )
-from .sampling import SampleBatch, estimate_db, estimate_variance, sample_quadratures
+from .sampling import (
+    SampleBatch,
+    estimate_db,
+    estimate_variance,
+    estimate_variances,
+    sample_quadratures,
+)
 from .presets import (
     chain8_unitary,
     cluster_state,

@@ -53,7 +53,7 @@ from .network import (
     input_basis_convert,
     inverse_gram,
 )
-from .sampling import estimate_variance, sample_quadratures
+from .sampling import estimate_variances
 
 _EFFECTIVE_NOTE = (
     "effective-r shortcut active: simulated at r={eff}, nominal source r={nom}"
@@ -381,26 +381,25 @@ def cmd_sample(args) -> int:
     out = Path(args.out)
     label = _graph_label(config)
     state = config.build_state()
-    batch = sample_quadratures(state, args.n, args.seed)
 
-    checks = []
-
-    def check(name, vec):
-        analytic = quadrature_variance(state, vec)
-        est = estimate_variance(batch, vec)
-        z = (est.estimate - analytic) / est.std_error
-        checks.append(
-            dict(name=name, analytic=analytic, estimate=est.estimate, std_error=est.std_error, z=z)
-        )
-
-    for mode, vec in enumerate(presets.nullifier_vectors(config.graph), start=1):
-        check(f"nullifier_{mode}", vec)
+    # Every check vector and gain is settled before the first draw.
+    named = [
+        (f"nullifier_{mode}", vec)
+        for mode, vec in enumerate(presets.nullifier_vectors(config.graph), start=1)
+    ]
     if config.graph_name is not None:
         criteria = config.criteria()
         gains = _resolve_gains(args, config, criteria, state)
         for c in criteria:
-            check(f"{c.cid}_u", realize(c.u, c.n, gains[c.cid]))
-            check(f"{c.cid}_v", realize(c.v, c.n, gains[c.cid]))
+            named.append((f"{c.cid}_u", realize(c.u, c.n, gains[c.cid])))
+            named.append((f"{c.cid}_v", realize(c.v, c.n, gains[c.cid])))
+    est = estimate_variances(state, np.array([vec for _, vec in named]), args.n, args.seed)
+
+    checks = []
+    for (name, vec), estimate, se in zip(named, est.estimate.tolist(), est.std_error.tolist()):
+        analytic = quadrature_variance(state, vec)
+        z = (estimate - analytic) / se
+        checks.append(dict(name=name, analytic=analytic, estimate=estimate, std_error=se, z=z))
 
     max_z = max(abs(c["z"]) for c in checks)
     _write_json(

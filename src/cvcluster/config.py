@@ -9,6 +9,7 @@ the loss channel); exactly one of the two must be given.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -96,8 +97,10 @@ def _parse_graph(raw) -> tuple[graphs.Graph, str | None]:
     if isinstance(raw, Mapping):
         if "n" not in raw or "edges" not in raw:
             raise ConfigError("explicit graph needs 'n' and 'edges'")
+        n = _count(raw["n"], "graph.n")
         try:
-            graph = graphs.Graph.from_edges(int(raw["n"]), [tuple(e) for e in raw["edges"]])
+            edges = [tuple(_count(m, "graph edge endpoint") for m in e) for e in raw["edges"]]
+            graph = graphs.Graph.from_edges(n, edges)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid graph: {exc}") from exc
         return graph, None
@@ -106,13 +109,19 @@ def _parse_graph(raw) -> tuple[graphs.Graph, str | None]:
 
 def _finite(value, what: str) -> float:
     """A config number; a value that is not a finite number is a config error."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-    if not np.isfinite(number):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not np.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value!r}")
-    return number
+    return float(value)
+
+
+def _count(value, what: str) -> int:
+    """A config count: an integer, or a float with an integral value such as 61.0."""
+    number = _finite(value, what)
+    if not number.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _per_mode(raw, n: int, what: str) -> tuple[float, ...]:
@@ -178,8 +187,8 @@ def _parse_sweep(raw) -> tuple[float, float, int] | None:
     try:
         r_min = _finite(raw["r_min"], "sweep.r_min")
         r_max = _finite(raw["r_max"], "sweep.r_max")
-        steps = int(raw["steps"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        steps = _count(raw["steps"], "sweep.steps")
+    except KeyError as exc:
         raise ConfigError(f"sweep needs numeric r_min, r_max and steps: {exc}") from exc
     if steps < 1 or r_max < r_min or r_min < 0:
         raise ConfigError("sweep needs 0 <= r_min <= r_max and steps >= 1")

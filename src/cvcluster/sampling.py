@@ -3,23 +3,37 @@
 Draws mimic homodyne records: zero-mean Gaussian outcomes with the state's
 covariance.  Sampling is deterministic per seed (PCG64); callers running
 batches in parallel must hand out distinct seeds.
+
+There is one way to draw: a single PCG64 stream cut into blocks of about
+``BLOCK_VALUES`` normals.  :func:`estimate_variances` streams those blocks,
+so its memory does not grow with the number of draws; it projects every
+check vector in one product per block and merges the per-block moments.
+:func:`sample_quadratures` materialises the whole batch as one block and
+stays the reference route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .gaussian import GaussianState, qnl_variance
 
 __all__ = [
+    "BLOCK_VALUES",
     "SampleBatch",
     "VarianceEstimate",
     "sample_quadratures",
     "estimate_variance",
+    "estimate_variances",
     "estimate_db",
 ]
+
+# Normals per streamed block: 2**20 float64 values, 8 MB.
+BLOCK_VALUES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +48,13 @@ class SampleBatch:
         return self.samples.shape[0]
 
 
-def sample_quadratures(state: GaussianState, n: int, seed: int) -> SampleBatch:
-    """Draw ``n`` outcomes from the state via a triangular factor of the covariance."""
+def _blocks(state: GaussianState, n: int, seed: int, rows: int) -> Iterator[SampleBatch]:
+    """The first ``n`` draws of the seed's stream, ``rows`` per block.
+
+    The covariance is factored once, before the first block.  A last block
+    of a single draw is folded into the one before it, so every block of a
+    stream of at least two draws can carry a variance estimate.
+    """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     try:
@@ -43,28 +62,76 @@ def sample_quadratures(state: GaussianState, n: int, seed: int) -> SampleBatch:
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance must be positive definite for sampling") from exc
     rng = np.random.Generator(np.random.PCG64(seed))
-    z = rng.standard_normal(size=(n, state.cov.shape[0]))
-    return SampleBatch(seed=seed, samples=z @ factor.T)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    dim = state.cov.shape[0]
+    for start, stop in zip(starts, starts[1:] + [n]):
+        samples = rng.standard_normal(size=(stop - start, dim)) @ factor.T
+        yield SampleBatch(seed=seed, samples=samples)
+
+
+def sample_quadratures(state: GaussianState, n: int, seed: int) -> SampleBatch:
+    """Draw ``n`` outcomes from the state via a triangular factor of the covariance."""
+    return next(_blocks(state, n, seed, rows=n))
 
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    estimate: float
-    std_error: float
+    """Sample mean, unbiased variance and its standard error of a projection.
+
+    Floats for one coefficient vector; arrays of shape (k,) for a (k, 2n)
+    stack of them.
+    """
+
+    mean: float | np.ndarray
+    estimate: float | np.ndarray
+    std_error: float | np.ndarray
+
+
+def _std_error(estimate, n_samples: int):
+    """The Gaussian identity ``se = estimate * sqrt(2 / (n - 1))``."""
+    return estimate * math.sqrt(2.0 / (n_samples - 1))
 
 
 def estimate_variance(batch: SampleBatch, coeffs: np.ndarray) -> VarianceEstimate:
     """Unbiased sample variance of the projected outcomes.
 
-    The standard error uses the Gaussian identity
-    ``se = estimate * sqrt(2 / (n - 1))``.
+    ``coeffs`` is one vector of length 2n or a (k, 2n) stack; a stack is
+    projected in one product, each check's draws along a contiguous row.
     """
     if batch.n_samples < 2:
         raise ValueError("variance estimation needs at least two samples")
-    projected = batch.samples @ np.asarray(coeffs, dtype=float)
-    estimate = float(np.var(projected, ddof=1))
-    std_error = estimate * np.sqrt(2.0 / (batch.n_samples - 1))
-    return VarianceEstimate(estimate=estimate, std_error=float(std_error))
+    projected = np.asarray(coeffs, dtype=float) @ batch.samples.T
+    mean = projected.mean(axis=-1)
+    estimate = projected.var(axis=-1, ddof=1)
+    if projected.ndim == 1:
+        mean, estimate = float(mean), float(estimate)
+    return VarianceEstimate(mean, estimate, _std_error(estimate, batch.n_samples))
+
+
+def estimate_variances(
+    state: GaussianState, vectors: np.ndarray, n: int, seed: int
+) -> VarianceEstimate:
+    """:func:`estimate_variance` of ``n`` draws, streamed; ``vectors`` as there.
+
+    The draws are those of :func:`sample_quadratures` with the same seed, but
+    only one block of about ``BLOCK_VALUES`` normals is held at a time.  Each
+    block's means and two-pass sums of squared deviations are merged by the
+    pairwise update of Chan, Golub & LeVeque (Stanford STAN-CS-79-773, 1979).
+    """
+    rows = max(2, BLOCK_VALUES // state.cov.shape[0])
+    count, mean, m2 = 0, 0.0, 0.0
+    for block in _blocks(state, n, seed, rows):
+        part = estimate_variance(block, vectors)
+        size = block.n_samples
+        total = count + size
+        delta = part.mean - mean
+        mean = mean + delta * (size / total)
+        m2 = m2 + part.estimate * (size - 1) + delta**2 * (count * size / total)
+        count = total
+    estimate = m2 / (count - 1)
+    return VarianceEstimate(mean, estimate, _std_error(estimate, count))
 
 
 def estimate_db(batch: SampleBatch, coeffs: np.ndarray) -> float:

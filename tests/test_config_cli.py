@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from cvcluster import sampling
 from cvcluster.cli import main
 from cvcluster.config import ConfigError, load_config, parse_config
 from cvcluster.criteria import evaluate, optimal_gains_numeric
@@ -454,6 +455,20 @@ class TestSampleCommand:
             main(["sample", "--config", "linear8", "--out", str(tmp_path), "--n", "1"]) == 2
         )
 
+    def test_gains_are_resolved_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(sampling, "_blocks", no_draws)
+        gains_file = tmp_path / "gains.json"
+        gains_file.write_text(json.dumps({"g_D6": 0.6}))  # a diamond slot
+        argv = ["sample", "--config", "linear8", "--out", str(tmp_path), "--gains"]
+        assert main(argv + [str(gains_file)]) == 2
+        assert "unknown gain slots ['g_D6']" in capsys.readouterr().err
+        # With valid gains the same run reaches the draw.
+        assert main(argv + ["unit"]) == 1
+        assert "drew samples" in capsys.readouterr().err
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         argv = ["sample", "--config", "linear8", "--out", str(tmp_path), "--seed", "-1"]
         assert main(argv + ["--n", "10"]) == 2
@@ -505,6 +520,40 @@ def test_values_that_are_not_finite_numbers_exit_code(tmp_path, capsys, override
     for command in ("criteria", "sweep"):
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"sweep": {**SHORT_SWEEP, "steps": 2.7}},
+        {"sweep": {**SHORT_SWEEP, "steps": "61"}},
+        {"sweep": {**SHORT_SWEEP, "steps": True}},
+        {"graph": {"n": 3.9, "edges": [[1, 2], [2, 3]]}, "squeeze": {"r": 0.5}},
+        {"graph": {"n": "3", "edges": [[1, 2], [2, 3]]}, "squeeze": {"r": 0.5}},
+        {"graph": {"n": True, "edges": []}, "squeeze": {"r": 0.5}},
+        {"graph": {"n": 3, "edges": [[1.5, 2], [2, 3]]}, "squeeze": {"r": 0.5}},
+        {"squeeze": {"r": "0.5"}},
+        {"squeeze": {"r": True}},
+    ],
+    ids=["steps_fraction", "steps_text", "steps_bool", "n_fraction", "n_text", "n_bool",
+         "edge_fraction", "r_text", "r_bool"],
+)
+def test_counts_and_numbers_of_the_wrong_type_exit_code(tmp_path, capsys, overrides):
+    # Counts used to be truncated by int() and numbers parsed from text.
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(base_config(**{"sweep": SHORT_SWEEP, **overrides})))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_integral_float_counts_are_accepted():
+    sweep = {**SHORT_SWEEP, "steps": 61.0}
+    raw = base_config(graph={"n": 3.0, "edges": [[1, 2.0], [2, 3]]}, sweep=sweep)
+    raw["squeeze"] = {"r": 0.5, "orientations": ["x", "p", "x"]}
+    config = parse_config(raw)
+    assert config.sweep == (0.0, 1.0, 61) and type(config.sweep[2]) is int
+    assert config.graph.n == 3 and config.graph.edges == frozenset({(1, 2), (2, 3)})
 
 
 def test_non_finite_gains_file_exit_code(tmp_path, capsys):

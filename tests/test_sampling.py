@@ -1,14 +1,39 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cvcluster import graphs, presets
+from cvcluster import graphs, network, presets, sampling
+from cvcluster.config import load_config
 from cvcluster.criteria import realize, unit_gains
-from cvcluster.gaussian import combination_vector, quadrature_variance, vacuum_state
-from cvcluster.sampling import estimate_db, estimate_variance, sample_quadratures
+from cvcluster.gaussian import (
+    LossModel,
+    SqueezePattern,
+    combination_vector,
+    quadrature_variance,
+    vacuum_state,
+)
+from cvcluster.sampling import (
+    estimate_db,
+    estimate_variance,
+    estimate_variances,
+    sample_quadratures,
+)
 
 
 def chain8_state(r):
     return presets.cluster_state(presets.chain8_unitary(), presets.experiment_pattern(r))
+
+
+def check_vectors(config):
+    """The (k, 2n) stack `sample` checks on a builtin config with unit gains."""
+    vectors = presets.nullifier_vectors(config.graph)
+    for c in config.criteria():
+        vectors += [realize(terms, c.n, unit_gains(c)) for terms in (c.u, c.v)]
+    return np.array(vectors)
 
 
 def test_vacuum_per_quadrature_variance():
@@ -113,3 +138,82 @@ def test_std_error_scaling_with_n():
     large = estimate_variance(sample_quadratures(state, 200_000, seed=13), vec)
     ratio = small.std_error / large.std_error
     assert ratio == pytest.approx(np.sqrt(2.0), rel=0.10)
+
+
+# Rows per streamed block for the 16-column 8-mode states.
+BLOCK_ROWS = sampling.BLOCK_VALUES // 16
+
+
+@pytest.mark.parametrize("n", [2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_streamed_matches_materialised_batch(n):
+    # B + 1 and 2B + 1 would leave a block of one draw, which cannot carry a variance.
+    state = chain8_state(0.5)
+    vectors = check_vectors(load_config("linear8"))
+    streamed = estimate_variances(state, vectors, n, seed=21)
+    batch = sample_quadratures(state, n, seed=21)
+    for vec, estimate, std_error in zip(vectors, streamed.estimate, streamed.std_error):
+        reference = estimate_variance(batch, vec)
+        assert estimate == pytest.approx(reference.estimate, rel=1e-12, abs=0.0)
+        assert std_error == pytest.approx(reference.std_error, rel=1e-12, abs=0.0)
+
+
+def test_streamed_zero_vector_estimates_zero():
+    state = chain8_state(0.5)
+    vectors = np.array([np.zeros(16), presets.nullifier_vectors(graphs.linear_chain(8))[0]])
+    est = estimate_variances(state, vectors, 2 * BLOCK_ROWS + 1, seed=22)
+    assert est.estimate[0] == 0.0
+    assert est.std_error[0] == 0.0
+    assert est.estimate[1] > 0.0
+
+
+def test_streamed_rejects_single_draw():
+    with pytest.raises(ValueError):
+        estimate_variances(vacuum_state(1), np.eye(2), 1, seed=0)
+
+
+@st.composite
+def lossy_cluster_states(draw):
+    """A random graph on 2..8 modes with per-mode squeezing and efficiency."""
+    n = draw(st.integers(2, 8))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    graph = graphs.Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))))
+    unitary = network.compile_cluster_unitary(graphs.adjacency(graph))
+    rs = draw(st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n))
+    etas = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    pattern = SqueezePattern(tuple("xp"[j % 2] for j in range(n)), tuple(rs))
+    state = presets.cluster_state(unitary, pattern, loss=LossModel(tuple(etas)))
+    return state, np.array(presets.nullifier_vectors(graph))
+
+
+@given(
+    case=lossy_cluster_states(),
+    n=st.integers(2, 400),
+    block_values=st.sampled_from([1, 40, 100, 2**20]),
+    seed=st.integers(0, 2**32),
+)
+def test_streamed_matches_materialised_on_random_graphs(case, n, block_values, seed):
+    state, vectors = case
+    with mock.patch.object(sampling, "BLOCK_VALUES", block_values):
+        streamed = estimate_variances(state, vectors, n, seed)
+    reference = estimate_variance(sample_quadratures(state, n, seed), vectors)
+    np.testing.assert_allclose(streamed.estimate, reference.estimate, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(streamed.mean, reference.mean, rtol=1e-12, atol=1e-15)
+
+
+def test_streamed_memory_does_not_grow_with_draws():
+    config = load_config("diamond8_physical")
+    state = config.build_state()
+    vectors = check_vectors(config)
+    tracemalloc.start()
+    try:
+        estimate_variances(state, vectors, 1_000_000, seed=1)
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        batch = sample_quadratures(state, 1_000_000, seed=1)
+        for vec in vectors:
+            estimate_variance(batch, vec)
+        materialised = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed < 64 * 2**20
+    assert materialised > 200 * 2**20
