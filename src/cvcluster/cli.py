@@ -13,6 +13,14 @@ unexpected internal failures.  All structured output is JSON (complex numbers
 as [re, im] pairs, matrices as row-major nested arrays) or CSV with the fixed
 header ``r,criterion,lhs_unit,lhs_optimal,bound``; no timestamps are written,
 so repeated runs are byte-identical.
+
+Payloads carry matrices as real floating ``np.ndarray`` (a complex matrix as
+its real and imaginary parts stacked on a last axis of length 2).
+:func:`_write_json` writes those with one array emitter and everything else
+with ``json``; the bytes are those of ``json.dump(payload, indent=2,
+sort_keys=True)`` with every array in its ``tolist()`` form (NaN and
+infinities spelled as ``json`` spells them), in a fraction of the time of
+json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -60,19 +69,62 @@ _EFFECTIVE_NOTE = (
 )
 
 
-def _complex_json(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+# Stands in for each array while json encodes the rest of a payload; json
+# writes it as _ARRAY_TEXT.
+_ARRAY_MARK = "\x00ndarray\x00"
+_ARRAY_TEXT = json.dumps(_ARRAY_MARK)
+# json's spelling of the floats it cannot write as repr.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _real_json(matrix: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.asarray(matrix)]
+def _complex_pairs(matrix: np.ndarray) -> np.ndarray:
+    return np.stack([matrix.real, matrix.imag], -1)
+
+
+def _array_text(array: np.ndarray, indent: int) -> str:
+    """``json.dumps(array.tolist(), indent=2)`` for an array opened at column ``indent``."""
+    if array.dtype.kind != "f":
+        raise TypeError(f"cannot write an array of dtype {array.dtype} as JSON numbers")
+    shape = array.shape
+    # Axes from the first empty one inwards are all "[]"; the rest hold numbers.
+    depth = next((k for k, size in enumerate(shape) if size == 0), len(shape))
+    if depth < len(shape):
+        items = ["[]"] * math.prod(shape[:depth])
+    else:
+        items = list(map(repr, array.ravel().tolist()))
+        if not np.isfinite(array).all():
+            items = [_NONFINITE.get(item, item) for item in items]
+    for axis in reversed(range(depth)):
+        outer = "\n" + " " * (indent + 2 * axis)
+        inner = outer + "  "
+        size, sep = shape[axis], "," + inner
+        items = [
+            "[" + inner + sep.join(items[i : i + size]) + outer + "]"
+            for i in range(0, len(items), size)
+        ]
+    return items[0]
 
 
 def _write_json(path: Path, payload) -> None:
+    """``json.dump(payload, indent=2, sort_keys=True)`` and a newline, arrays as ``tolist()``."""
+    arrays = []
+
+    def mark(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return _ARRAY_MARK
+
+    pieces = json.dumps(payload, indent=2, sort_keys=True, default=mark).split(_ARRAY_TEXT)
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError("a payload string collides with the array placeholder")
+    text = [pieces[0]]
+    for array, piece in zip(arrays, pieces[1:]):
+        line = text[-1][text[-1].rfind("\n") + 1 :]
+        text += [_array_text(array, len(line) - len(line.lstrip(" "))), piece]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.writelines(text + ["\n"])
 
 
 def _resolve_gains(args, config: ExperimentConfig, criteria, state):
@@ -112,10 +164,10 @@ def cmd_compile(args) -> int:
         # Both builtin networks are built from the published chain factor.
         factor = presets.chain8_factor()
         unitary = presets.builtin_unitary(config.graph_name)
-    gram_payload = {"graph": label, "matrix": _real_json(factor)}
+    gram_payload = {"graph": label, "matrix": factor}
     if config.graph_name == "diamond8":
         gram_payload["base_graph"] = "linear8"
-        gram_payload["local_output_phases"] = _complex_json(DIAMOND_LOCAL_PHASES)
+        gram_payload["local_output_phases"] = _complex_pairs(DIAMOND_LOCAL_PHASES)
 
     _write_json(
         out / "unitary.json",
@@ -123,7 +175,7 @@ def cmd_compile(args) -> int:
             "graph": label,
             "n": config.graph.n,
             "x_squeezed_inputs": list(config.x_squeezed_inputs),
-            "matrix": _complex_json(unitary),
+            "matrix": _complex_pairs(unitary),
         },
     )
     _write_json(out / "gram_factor.json", gram_payload)
@@ -150,7 +202,7 @@ def cmd_compile(args) -> int:
                     }
                     for e in sequence
                 ],
-                "matrices": [_complex_json(element_matrix(e, 8)) for e in sequence],
+                "matrices": _complex_pairs(np.array([element_matrix(e, 8) for e in sequence])),
             },
         )
         print(f"wrote unitary.json, gram_factor.json, elements.json to {out}")

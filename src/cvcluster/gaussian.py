@@ -297,18 +297,19 @@ def excess_noise_decomposition(
     Each combination is a coefficient vector over the output quadratures.
     Pulling it back through the network gives input-side coefficients; each
     input quadrature is a vacuum operator scaled by exp(-r) (the squeezed
-    quadrature of its mode) or exp(+r) (the conjugate one).
+    quadrature of its mode) or exp(+r) (the conjugate one).  All
+    combinations are pulled back in one product: row i of C·S is Sᵀ c_i.
     """
-    s = symplectic_from_unitary(u)
     n = pattern.n
     squeezed = _squeezed_quadratures(pattern.orientations)
-    variances = _input_variances(pattern)
+    pulled = np.asarray(combinations, dtype=float).reshape(-1, 2 * n) @ symplectic_from_unitary(u)
+    variances = pulled**2 @ _input_variances(pattern)
+    max_anti = np.max(np.abs(pulled[:, ~squeezed]), axis=1)
     # Input quadratures in mode order: x_1, p_1, x_2, p_2, ...
     order = np.arange(2 * n).reshape(2, n).T.ravel()
     report_tol = 1e-12
     out = []
-    for c in combinations:
-        w = s.T @ np.asarray(c, dtype=float)
+    for w, variance, anti in zip(pulled, variances.tolist(), max_anti.tolist()):
 
         def listed(side):
             kept = order[side[order] & (np.abs(w[order]) > report_tol)]
@@ -318,8 +319,8 @@ def excess_noise_decomposition(
             NullifierNoise(
                 squeezed=listed(squeezed),
                 anti=listed(~squeezed),
-                variance=float(w**2 @ variances),
-                max_anti_coefficient=float(np.max(np.abs(w[~squeezed]))),
+                variance=variance,
+                max_anti_coefficient=anti,
             )
         )
     return out

@@ -4,12 +4,20 @@ Draws mimic homodyne records: zero-mean Gaussian outcomes with the state's
 covariance.  Sampling is deterministic per seed (PCG64); callers running
 batches in parallel must hand out distinct seeds.
 
-There is one way to draw: a single PCG64 stream cut into blocks of about
-``BLOCK_VALUES`` normals.  :func:`estimate_variances` streams those blocks,
-so its memory does not grow with the number of draws; it projects every
-check vector in one product per block and merges the per-block moments.
-:func:`sample_quadratures` materialises the whole batch as one block and
-stays the reference route.
+There is one way to draw: a single PCG64 stream of standard normals z,
+cut into blocks of about ``BLOCK_VALUES`` values.  An outcome is x = L z,
+with L the lower Cholesky factor of the covariance.
+:func:`sample_quadratures` materialises the whole batch as one block, rows
+z·Lᵀ, and stays the reference route.
+
+:func:`estimate_variances` streams the blocks, so its memory does not grow
+with the number of draws, and never forms an outcome.  A check vector v
+reads v·x = v·(L z) = (Lᵀ v)·z, so the stack of checks V is pulled back
+through the factor once, P = V·L, and every block of normals is projected
+onto P in one product.  That gives the projections of the outcomes onto V,
+draw for draw, up to the order of the sums (rounding of order
+eps·|v|·|L|·|z| per draw), without the per-block product z·Lᵀ, the
+largest one at large n, or the block of outcomes it would fill.
 """
 
 from __future__ import annotations
@@ -48,32 +56,38 @@ class SampleBatch:
         return self.samples.shape[0]
 
 
-def _blocks(state: GaussianState, n: int, seed: int, rows: int) -> Iterator[SampleBatch]:
-    """The first ``n`` draws of the seed's stream, ``rows`` per block.
+def _factor(state: GaussianState) -> np.ndarray:
+    """Lower-triangular L with L Lᵀ equal to the covariance."""
+    try:
+        return np.linalg.cholesky(state.cov)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance must be positive definite for sampling") from exc
 
-    The covariance is factored once, before the first block.  A last block
-    of a single draw is folded into the one before it, so every block of a
-    stream of at least two draws can carry a variance estimate.
+
+def _blocks(dim: int, n: int, seed: int, rows: int) -> Iterator[np.ndarray]:
+    """The first ``n`` rows of ``dim`` standard normals of the seed's stream, ``rows`` per block.
+
+    A last block of a single row is folded into the one before it, so every
+    block of a stream of at least two rows can carry a variance estimate.
+    Every block is drawn into one buffer, so a block is overwritten by the
+    next: the allocator sees one block-sized array, not one per block.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    try:
-        factor = np.linalg.cholesky(state.cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be positive definite for sampling") from exc
     rng = np.random.Generator(np.random.PCG64(seed))
     starts = list(range(0, n, rows))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    dim = state.cov.shape[0]
+    buffer = np.empty((min(rows + 1, n), dim))
     for start, stop in zip(starts, starts[1:] + [n]):
-        samples = rng.standard_normal(size=(stop - start, dim)) @ factor.T
-        yield SampleBatch(seed=seed, samples=samples)
+        yield rng.standard_normal(out=buffer[: stop - start])
 
 
 def sample_quadratures(state: GaussianState, n: int, seed: int) -> SampleBatch:
-    """Draw ``n`` outcomes from the state via a triangular factor of the covariance."""
-    return next(_blocks(state, n, seed, rows=n))
+    """Draw ``n`` outcomes from the state: one block of normals z, as rows z·Lᵀ."""
+    factor = _factor(state)
+    normals = next(_blocks(factor.shape[0], n, seed, rows=n))
+    return SampleBatch(seed=seed, samples=normals @ factor.T)
 
 
 @dataclass(frozen=True)
@@ -116,15 +130,19 @@ def estimate_variances(
     """:func:`estimate_variance` of ``n`` draws, streamed; ``vectors`` as there.
 
     The draws are those of :func:`sample_quadratures` with the same seed, but
-    only one block of about ``BLOCK_VALUES`` normals is held at a time.  Each
-    block's means and two-pass sums of squared deviations are merged by the
-    pairwise update of Chan, Golub & LeVeque (Stanford STAN-CS-79-773, 1979).
+    only one block of about ``BLOCK_VALUES`` normals is held at a time, and
+    the outcomes z·Lᵀ are never formed: the checks are pulled back through
+    the factor once, P = V·L, and each block of normals is projected onto P.
+    Each block's means and two-pass sums of squared deviations are merged by
+    the pairwise update of Chan, Golub & LeVeque (Stanford STAN-CS-79-773, 1979).
     """
-    rows = max(2, BLOCK_VALUES // state.cov.shape[0])
+    factor = _factor(state)
+    pulled = np.asarray(vectors, dtype=float) @ factor
+    dim = factor.shape[0]
     count, mean, m2 = 0, 0.0, 0.0
-    for block in _blocks(state, n, seed, rows):
-        part = estimate_variance(block, vectors)
-        size = block.n_samples
+    for normals in _blocks(dim, n, seed, rows=max(2, BLOCK_VALUES // dim)):
+        part = estimate_variance(SampleBatch(seed=seed, samples=normals), pulled)
+        size = normals.shape[0]
         total = count + size
         delta = part.mean - mean
         mean = mean + delta * (size / total)

@@ -171,3 +171,47 @@ def optimal_gains_analytic(r: float) -> dict[str, float]:
     gains = linear_optimal_gains(r)
     gains.update(diamond_optimal_gains(r))
     return gains
+
+
+def lcg_edges(n: int, count: int, seed: int) -> list[list[int]]:
+    """``count`` distinct edges on modes 1..n from a fixed linear congruential stream."""
+    x, edges = seed, set()
+    while len(edges) < count:
+        ends = []
+        for _ in range(2):
+            x = (1103515245 * x + 12345) % 2**31
+            ends.append((x >> 16) % n + 1)
+        a, b = ends
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return [list(e) for e in sorted(edges)]
+
+
+# A 64-mode custom graph (mean degree 3) for the compile pins below.
+CUSTOM64_CONFIG = {
+    "graph": {"n": 64, "edges": lcg_edges(64, 96, seed=8)},
+    "squeeze": {"r": 0.5},
+    "loss": {"eta": 1.0},
+}
+
+# sha256 of the files `cvcluster compile` wrote before its matrices went
+# through the array emitter (json.dump of nested lists, indent=2), taken with
+# numpy 2.4 and its bundled OpenBLAS on x86-64.  The matrices come from
+# LAPACK, so another BLAS may move their last bits and these digests with them.
+COMPILE_SHA256 = {
+    "linear8": {
+        "elements.json": "c1761b1abe4137292e80f824c3d70134b15fd7f909c48c67e83d1bfa68d6476e",
+        "gram_factor.json": "bf8f61d0429bd13c1a75359a4bb872e02136ac394c4ec53d2ef310ea56170e90",
+        "unitary.json": "284c3b0e5621ba9ae1c5ce72ebed21bc2ac2aa9f08b514a0b2c77990ba3fe616",
+    },
+    "diamond8": {
+        "gram_factor.json": "344b8877c333e826617fd260e4a83534219eb37bdcd930a3578de046798f6e9b",
+        "unitary.json": "db08096fe0083ffdf59a81d5ab002812a430f45b19c9c46e2efb2ee49802a523",
+    },
+    "custom64": {
+        "gram_factor.json": "2be55ec5263811d04030599a75cf6b1b8b092a2e205640c66ef3d69dd35fecf4",
+        "unitary.json": "60a166b580fdecd8248dc673491967dc8f7065665159bb639dd841adfe1520c6",
+    },
+}
+COMPILE_SHA256["linear8_physical"] = COMPILE_SHA256["linear8"]
+COMPILE_SHA256["diamond8_physical"] = COMPILE_SHA256["diamond8"]

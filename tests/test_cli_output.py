@@ -1,0 +1,147 @@
+"""Bytes of the CLI's JSON files: the array emitter and the pinned compile outputs."""
+
+import hashlib
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from cvcluster.cli import _write_json, main
+
+from expected import COMPILE_SHA256, CUSTOM64_CONFIG
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e300]
+
+
+def tolist_form(payload):
+    """The payload json.dump would take: every array as its nested lists."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: tolist_form(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [tolist_form(value) for value in payload]
+    return payload
+
+
+def written(payload) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        _write_json(path, payload)
+        return path.read_bytes()
+
+
+def json_bytes(payload) -> bytes:
+    return (json.dumps(tolist_form(payload), indent=2, sort_keys=True) + "\n").encode()
+
+
+finite = st.one_of(
+    st.sampled_from(SPECIAL_VALUES + [-v for v in SPECIAL_VALUES]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+arrays = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4), elements=finite
+)
+keys = st.text(alphabet="abmxz_", min_size=1, max_size=4)
+
+
+@st.composite
+def nested_payloads(draw):
+    """Arrays inside dicts 1-3 deep, next to strings, lists and other numbers."""
+    node = draw(arrays)
+    for _ in range(draw(st.integers(1, 3))):
+        node = {
+            draw(keys): node,
+            "graph": "custom-64",
+            "n": draw(st.integers(0, 300)),
+            "modes": [1, 2],
+            **draw(st.dictionaries(keys, arrays, max_size=2)),
+        }
+    return node
+
+
+@given(payload=nested_payloads())
+def test_emitter_writes_the_bytes_of_json_dump(payload):
+    assert written(payload) == json_bytes(payload)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array(SPECIAL_VALUES),
+        np.zeros((0,)),
+        np.zeros((2, 0, 3)),
+        np.zeros((1, 1, 1, 1)),
+        np.array(0.25),
+        np.array([[0.5, -0.0]], dtype=np.float32),
+    ],
+    ids=["specials", "empty", "inner-empty", "unit-axes", "0-d", "float32"],
+)
+def test_emitter_edge_shapes_and_dtypes(array):
+    payload = {"matrix": array, "rows": [array, {"deep": array}]}
+    assert written(payload) == json_bytes(payload)
+
+
+def test_non_finite_entries_are_spelled_as_json_spells_them():
+    # json.dump writes NaN and the infinities as NaN / Infinity / -Infinity
+    # (not strict JSON, but what the encoder emits); the emitter matches it.
+    payload = {"matrix": np.array([[math.nan, math.inf], [-math.inf, 1.0]])}
+    text = written(payload)
+    assert text == json_bytes(payload)
+    assert b"NaN" in text and b"-Infinity" in text
+
+
+@pytest.mark.parametrize("dtype", [complex, int, bool])
+def test_arrays_that_are_not_real_floats_are_rejected(dtype):
+    with pytest.raises(TypeError):
+        written({"matrix": np.eye(2, dtype=dtype)})
+
+
+def test_a_string_that_reads_as_the_array_placeholder_is_rejected():
+    with pytest.raises(ValueError, match="placeholder"):
+        written({"matrix": np.eye(2), "note": "\x00ndarray\x00"})
+
+
+def test_unserializable_objects_are_still_rejected():
+    with pytest.raises(TypeError):
+        written({"value": object()})
+
+
+@pytest.mark.parametrize("config", sorted(COMPILE_SHA256))
+def test_compile_bytes_are_pinned(config, tmp_path):
+    if config == "custom64":
+        path = tmp_path / "custom64.json"
+        path.write_text(json.dumps(CUSTOM64_CONFIG))
+        config_arg = str(path)
+    else:
+        config_arg = config
+    out = tmp_path / "out"
+    assert main(["compile", "--config", config_arg, "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == COMPILE_SHA256[config]
+
+
+def test_reference_term_mismatches_are_unchanged(tmp_path):
+    # linear8 matches the published table term for term; diamond8 differs in
+    # the sign of one term of nullifier 1.
+    found = {}
+    for name in ("linear8", "diamond8"):
+        assert main(["simulate", "--config", name, "--out", str(tmp_path / name)]) == 0
+        payload = json.loads((tmp_path / name / "simulate.json").read_text())
+        found[name] = payload["reference_term_mismatches"]
+    assert found["linear8"] == []
+    [mismatch] = found["diamond8"]
+    assert mismatch.pop("computed") == pytest.approx(-math.sqrt(2.5), abs=1e-12)
+    assert mismatch == {
+        "input_mode": 3,
+        "magnitudes_agree": True,
+        "mode": 1,
+        "quadrature": "x",
+        "reference": math.sqrt(2.5),
+    }

@@ -270,6 +270,40 @@ def cluster_networks(draw):
     return u, orientations
 
 
+@given(case=cluster_networks(), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_excess_noise_matches_one_pull_back_per_vector(case, k, seed):
+    # The decomposition pulls every combination back in one product C·S; each
+    # row must equal the single product Sᵀ c within rounding.
+    u, orientations = case
+    rng = np.random.default_rng(seed)
+    n = len(orientations)
+    pattern = SqueezePattern(orientations, tuple(rng.uniform(0.0, 1.5, size=n)))
+    combos = rng.standard_normal((k, 2 * n)) * rng.choice([1e-3, 1.0, 1e3], size=(k, 1))
+    s = symplectic_from_unitary(u)
+    squeezed = gaussian._squeezed_quadratures(orientations)
+    for c, noise in zip(combos, excess_noise_decomposition(u, pattern, list(combos))):
+        w = s.T @ c
+        tol = 1e-15 * np.linalg.norm(s, 2) * np.linalg.norm(c)
+        listed = {
+            (t.mode, t.quadrature): t.coefficient for t in noise.squeezed + noise.anti
+        }
+        for i in range(2 * n):
+            got = listed.get((i % n + 1, "xp"[i // n]))
+            if got is None:
+                assert abs(w[i]) <= 1e-12 + tol
+            else:
+                assert abs(got - w[i]) <= tol
+        assert {(t.mode, t.quadrature) for t in noise.squeezed} <= {
+            (i % n + 1, "xp"[i // n]) for i in np.flatnonzero(squeezed)
+        }
+        assert noise.max_anti_coefficient == pytest.approx(
+            np.max(np.abs(w[~squeezed])), rel=0.0, abs=tol
+        )
+        assert noise.variance == pytest.approx(
+            w**2 @ gaussian._input_variances(pattern), rel=1e-12
+        )
+
+
 class TestClusterState:
     @given(case=cluster_networks(), data=st.data())
     def test_random_graphs_match_composed_route(self, case, data):

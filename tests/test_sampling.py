@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -217,3 +218,33 @@ def test_streamed_memory_does_not_grow_with_draws():
         tracemalloc.stop()
     assert streamed < 64 * 2**20
     assert materialised > 200 * 2**20
+
+
+def test_covariance_that_is_not_positive_definite_is_rejected_before_any_draw():
+    # Only `cov` is read; a physical state is always positive definite, so a
+    # bare stand-in carries the singular matrix.
+    state = SimpleNamespace(cov=np.diag([1.0, 0.0]))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    with mock.patch.object(sampling, "_blocks", no_draws):
+        for route in (
+            lambda: sample_quadratures(state, 10, seed=0),
+            lambda: estimate_variances(state, np.eye(2), 10, seed=0),
+        ):
+            with pytest.raises(ValueError, match="positive definite"):
+                route()
+
+
+def test_streamed_route_projects_the_normals_onto_pulled_back_checks():
+    # Var(v·Lz) = Var((Lᵀv)·z): a stand-in stream of normals, projected
+    # through the pulled-back checks, gives the estimate of the outcomes z·Lᵀ.
+    state = chain8_state(0.7)
+    vectors = check_vectors(load_config("linear8"))
+    normals = np.random.default_rng(5).standard_normal((300, 16))
+    with mock.patch.object(sampling, "_blocks", lambda *args, **kwargs: iter([normals])):
+        streamed = estimate_variances(state, vectors, 300, seed=0)
+    outcomes = normals @ np.linalg.cholesky(state.cov).T
+    reference = estimate_variance(sampling.SampleBatch(seed=0, samples=outcomes), vectors)
+    np.testing.assert_allclose(streamed.estimate, reference.estimate, rtol=1e-12, atol=0.0)
