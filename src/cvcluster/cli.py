@@ -39,7 +39,6 @@ from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, _finite, loa
 from .criteria import (
     full_inseparability_report,
     lhs_curve,
-    realize,
     resolve_gains,
     threshold_r,
     unit_gains,
@@ -430,6 +429,8 @@ def cmd_sample(args) -> int:
         raise ConfigError("sampling needs --n of at least 2 for a variance estimate")
     if args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
+    if config.graph_name is None and args.gains is not None:
+        raise ConfigError("sample on a custom graph writes nullifier checks only; drop --gains")
     out = Path(args.out)
     label = _graph_label(config)
     state = config.build_state()
@@ -443,8 +444,7 @@ def cmd_sample(args) -> int:
         criteria = config.criteria()
         gains = _resolve_gains(args, config, criteria, state)
         for c in criteria:
-            named.append((f"{c.cid}_u", realize(c.u, c.n, gains[c.cid])))
-            named.append((f"{c.cid}_v", realize(c.v, c.n, gains[c.cid])))
+            named += zip((f"{c.cid}_u", f"{c.cid}_v"), c.sides(gains[c.cid]))
     est = estimate_variances(state, np.array([vec for _, vec in named]), args.n, args.seed)
 
     checks = []

@@ -4,7 +4,10 @@ Each criterion pairs two quadrature combinations u and v whose variance sum,
 below a separability bound, refutes every split of the mode set that places
 the criterion's distinguished mode pair on opposite sides.  Gains are named
 slots scaling selected coefficients; setting every gain to 1 reduces u and v
-to two graph nullifiers.
+to two graph nullifiers.  Each side is affine in the gains, c(g) = c(0) + g C;
+a criterion builds that one form on first use, and :meth:`Criterion.sides`
+(the side vectors under a gain table), the optimal-gain solve and the r
+curves all read it.
 
 Curves and thresholds in the squeezing parameter r take the covariance as
 data, the stack K of :func:`cvcluster.gaussian.squeezing_terms` with
@@ -15,6 +18,7 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -35,7 +39,6 @@ __all__ = [
     "InseparabilityReport",
     "graph_criteria",
     "unit_gains",
-    "realize",
     "vlf_bound",
     "evaluate",
     "optimal_gains_numeric",
@@ -88,10 +91,31 @@ class Criterion:
                     f"criterion {self.cid} is not a nullifier pair on modes {a} and {b}"
                 )
 
-    @property
+    @cached_property
     def gain_names(self) -> tuple[str, ...]:
         names = {t.gain for t in self.u + self.v if t.gain is not None}
         return tuple(sorted(names))
+
+    @cached_property
+    def affine_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sides u, v as c(g) = c(0) + g C: c(0) is (2, 2n), C is (2, slots, 2n)."""
+
+        def vector(side, slot):
+            terms = ((t.mode, t.quadrature, t.coefficient) for t in side if t.gain == slot)
+            return combination_vector(self.n, terms)
+
+        slots = (None, *self.gain_names)
+        form = np.array([[vector(side, slot) for slot in slots] for side in (self.u, self.v)])
+        form.flags.writeable = False
+        return form[:, 0], form[:, 1:]
+
+    def sides(self, gains: GainSet) -> np.ndarray:
+        """The (2, 2n) coefficient vectors of u and v under a table of slot values."""
+        for name in self.gain_names:
+            if name not in gains:
+                raise ValueError(f"missing gain value for slot {name!r}")
+        c0, rows = self.affine_form
+        return c0 + np.array([gains[name] for name in self.gain_names], dtype=float) @ rows
 
 
 @dataclass(frozen=True)
@@ -146,21 +170,6 @@ def unit_gains(criteria: Iterable[Criterion] | Criterion) -> dict[str, float]:
     return {name: 1.0 for c in criteria for name in c.gain_names}
 
 
-def _realized_terms(terms: tuple[Term, ...], gains: GainSet):
-    for t in terms:
-        scale = 1.0
-        if t.gain is not None:
-            if t.gain not in gains:
-                raise ValueError(f"missing gain value for slot {t.gain!r}")
-            scale = gains[t.gain]
-        yield t.mode, t.quadrature, t.coefficient * scale
-
-
-def realize(terms: tuple[Term, ...], n: int, gains: GainSet) -> np.ndarray:
-    """Concrete coefficient vector of a template under the given gains."""
-    return combination_vector(n, _realized_terms(terms, gains))
-
-
 def vlf_bound(criterion: Criterion, gains: GainSet) -> float:
     """Separability bound for the criterion's bipartition (a, b).
 
@@ -168,18 +177,15 @@ def vlf_bound(criterion: Criterion, gains: GainSet) -> float:
     coefficients, and on a nullifier pair only a and b contribute, so the
     bound is (|u_p[a] v_x[a]| + |u_x[b] v_p[b]|) / 2: exactly 1 for nullifiers.
     """
-    n = criterion.n
-    u, v = realize(criterion.u, n, gains), realize(criterion.v, n, gains)
+    (u_x, u_p), (v_x, v_p) = criterion.sides(gains).reshape(2, 2, criterion.n)
     a, b = criterion.bipartition
-    return float(0.5 * (abs(u[n + a - 1] * v[a - 1]) + abs(u[b - 1] * v[n + b - 1])))
+    return float(0.5 * (abs(u_p[a - 1] * v_x[a - 1]) + abs(u_x[b - 1] * v_p[b - 1])))
 
 
 def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> CriterionResult:
     """Variance sum, bound and verdict of one criterion on a state."""
-    u_vec = realize(criterion.u, criterion.n, gains)
-    v_vec = realize(criterion.v, criterion.n, gains)
-    u_var = quadrature_variance(state, u_vec)
-    v_var = quadrature_variance(state, v_vec)
+    u_vec, v_vec = criterion.sides(gains)
+    u_var, v_var = quadrature_variance(state, u_vec), quadrature_variance(state, v_vec)
     lhs = u_var + v_var
     bound = vlf_bound(criterion, gains)
     return CriterionResult(
@@ -195,18 +201,9 @@ def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> Crit
     )
 
 
-def _affine_form(criterion: Criterion) -> tuple[np.ndarray, np.ndarray]:
-    """Sides u, v as c(g) = c(0) + C g: c(0) is (2, 2n), C is (2, slots, 2n)."""
-    names, sides = criterion.gain_names, (criterion.u, criterion.v)
-    zero = dict.fromkeys(names, 0.0)
-    c0 = np.array([realize(t, criterion.n, zero) for t in sides])
-    unit = [[realize(t, criterion.n, {**zero, name: 1.0}) for name in names] for t in sides]
-    return c0, np.array(unit).reshape(2, len(names), c0.shape[1]) - c0[:, None]
-
-
 def _solve_gains(criterion: Criterion, covs: np.ndarray) -> np.ndarray:
     """Exact minimising gains, one row per covariance of an (m, 2n, 2n) stack."""
-    c0, rows = _affine_form(criterion)
+    c0, rows = criterion.affine_form
     left = rows @ covs[:, None]
     try:
         solution = np.linalg.solve(
@@ -275,7 +272,7 @@ def lhs_curve(criterion: Criterion, terms: np.ndarray, rs, gain_mode: str = "uni
         gains = _solve_gains(criterion, covs)
     else:
         raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
-    c0, rows = _affine_form(criterion)
+    c0, rows = criterion.affine_form
     vecs = c0 + np.einsum("mk,ski->msi", gains, rows)
     return np.einsum("msi,mij,msj->m", vecs, covs, vecs)
 
@@ -285,9 +282,11 @@ def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit"
 
     Scans r over (0, 3] in steps of 0.05 and bisects the first sign change of
     ``lhs(r) - bound`` to within 1e-6.  Returns None when the criterion is
-    satisfied on the whole grid, which is the optimal-gain behaviour, and
-    inf when it is satisfied nowhere on it, as under heavy loss.  The bound
-    of a nullifier pair does not depend on the gains, so it is taken once.
+    satisfied on the whole grid and inf when it is satisfied nowhere on it,
+    as under heavy loss.  Only the first crossing is reported: with per-mode
+    efficiencies the optimal-gain curve starts exactly at the bound, so
+    ``sweep`` writes 3.8e-7 and a later failure goes unreported.  A nullifier
+    pair's bound does not depend on the gains, so it is taken once.
     """
     bound = vlf_bound(criterion, unit_gains(criterion))
     grid = np.linspace(0.0, 3.0, 61)

@@ -12,7 +12,6 @@ from cvcluster.config import load_config
 from cvcluster.criteria import (
     evaluate,
     optimal_gains_numeric,
-    realize,
     resolve_gains,
     threshold_r,
     unit_gains,
@@ -331,8 +330,7 @@ def test_acceptance_9_monte_carlo():
         criteria = config.criteria()
         gains = resolve_gains(criteria, config.gains_spec, state=state)
         for criterion in criteria:
-            checks.append(realize(criterion.u, criterion.n, gains[criterion.cid]))
-            checks.append(realize(criterion.v, criterion.n, gains[criterion.cid]))
+            checks += list(criterion.sides(gains[criterion.cid]))
         for vec in checks:
             analytic = quadrature_variance(state, vec)
             est = estimate_variance(batch, vec)

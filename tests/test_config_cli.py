@@ -469,6 +469,25 @@ class TestSampleCommand:
         assert main(argv + ["unit"]) == 1
         assert "drew samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gains", ["optimal", "no_such_file.json"])
+    def test_gains_on_a_custom_graph_rejected_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, gains
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(sampling, "_blocks", no_draws)
+        config = tmp_path / "chain3.json"
+        graph = {"n": 3, "edges": [[1, 2], [2, 3]]}
+        squeeze = {"r": 0.5, "orientations": ["x", "p", "x"]}
+        config.write_text(json.dumps(base_config(graph=graph, squeeze=squeeze)))
+        argv = ["sample", "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv + ["--gains", gains]) == 2
+        assert "nullifier checks only" in capsys.readouterr().err
+        # Without --gains the same run reaches the draw.
+        assert main(argv) == 1
+        assert "drew samples" in capsys.readouterr().err
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         argv = ["sample", "--config", "linear8", "--out", str(tmp_path), "--seed", "-1"]
         assert main(argv + ["--n", "10"]) == 2

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -16,7 +17,6 @@ from cvcluster.criteria import (
     graph_criteria,
     lhs_curve,
     optimal_gains_numeric,
-    realize,
     resolve_gains,
     threshold_r,
     unit_gains,
@@ -50,25 +50,30 @@ def builder_for(criterion):
 
 
 @st.composite
-def criteria_sets(draw):
-    """The criteria of a builtin graph or of a random graph on 2..12 modes (with
-    a triangle on modes 1-3 in about half of them), together with the
-    squeezing terms of that graph's lossless cluster state."""
+def graph_cases(draw):
+    """The criteria and network of a builtin graph or of a random graph on
+    2..12 modes (with a triangle on modes 1-3 in about half of them)."""
     name = draw(st.sampled_from(["linear8", "diamond8", "random"]))
     if name != "random":
-        terms = squeezing_terms(presets.builtin_unitary(name), ORIENTATIONS)
-        return presets.builtin_criteria(name), terms
+        return presets.builtin_criteria(name), presets.builtin_unitary(name)
     n = draw(st.integers(2, 12))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     edges = draw(st.sets(st.sampled_from(pairs)))
     if n >= 3 and draw(st.booleans()):
         edges |= {(1, 2), (2, 3), (1, 3)}
     graph = graphs.Graph.from_edges(n, edges)
-    pattern = presets.experiment_pattern(0.0, n)
     unitary = compile_cluster_unitary(
         graphs.adjacency(graph), x_squeezed_inputs=range(1, n + 1, 2)
     )
-    return graph_criteria(graph), squeezing_terms(unitary, pattern.orientations)
+    return graph_criteria(graph), unitary
+
+
+@st.composite
+def criteria_sets(draw):
+    """A graph case's criteria with the squeezing terms of its lossless cluster state."""
+    criteria, unitary = draw(graph_cases())
+    orientations = presets.experiment_pattern(0.0, len(unitary)).orientations
+    return criteria, squeezing_terms(unitary, orientations)
 
 
 class TestCriterionSets:
@@ -106,14 +111,15 @@ class TestCriterionSets:
         assert [c.cid for c in criteria] == list(table)
         rng = np.random.default_rng(5)
         for c, (u, v, bipartition) in zip(criteria, table.values()):
-            published = [tuple(Term(*t) for t in side) for side in (u, v)]
-            slots = sorted({t.gain for side in published for t in side} - {None})
+            # Construction also checks that the published terms form a nullifier pair.
+            sides = (tuple(Term(*t) for t in side) for side in (u, v))
+            published = Criterion(c.cid, *sides, bipartition, 8)
             assert c.bipartition == bipartition and c.n == 8, c.cid
-            assert c.gain_names == tuple(slots), c.cid
+            assert c.gain_names == published.gain_names, c.cid
             # Vectors, not term order: the published 4b lists x2 before x1 in v.
+            slots = c.gain_names
             for gains in (unit_gains(c), dict(zip(slots, rng.uniform(-3.0, 3.0, len(slots))))):
-                for side, terms in zip((c.u, c.v), published):
-                    assert np.array_equal(realize(side, 8, gains), realize(terms, 8, gains)), c.cid
+                assert np.array_equal(c.sides(gains), published.sides(gains)), c.cid
 
     def test_bipartitions(self):
         assert [c.bipartition for c in LINEAR] == [
@@ -136,11 +142,28 @@ class TestCriterionSets:
             for nf in graphs.nullifiers(graph)
         }
         for c in criteria:
-            gains = unit_gains(c)
-            for terms in (c.u, c.v):
-                vec = realize(terms, c.n, gains)
+            for terms, vec in zip((c.u, c.v), c.sides(unit_gains(c))):
                 p_mode = next(t.mode for t in terms if t.quadrature == "p")
                 assert np.allclose(vec, nullifier_vecs[p_mode], atol=1e-14), c.cid
+
+
+@given(case=criteria_sets(), data=st.data())
+def test_sides_match_termwise_sum(case, data):
+    criteria, _ = case
+    gains = data.draw(
+        st.fixed_dictionaries({name: st.floats(-5.0, 5.0) for name in unit_gains(criteria)})
+    )
+    for c in criteria:
+        expected = np.zeros((2, 2 * c.n))
+        for row, side in zip(expected, (c.u, c.v)):
+            for t in side:
+                column = t.mode - 1 + (c.n if t.quadrature == "p" else 0)
+                row[column] += t.coefficient * (1.0 if t.gain is None else gains[t.gain])
+        assert np.array_equal(c.sides(gains), expected), c.cid
+        if c.gain_names:
+            missing = data.draw(st.sampled_from(c.gain_names))
+            with pytest.raises(ValueError, match=re.escape(repr(missing))):
+                c.sides({name: g for name, g in gains.items() if name != missing})
 
 
 class TestBound:
@@ -361,19 +384,23 @@ class TestThresholds:
 
 class TestLhsCurve:
     @given(
-        name=st.sampled_from(["linear8", "diamond8"]),
+        case=graph_cases(),
         rs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
-        etas=st.one_of(st.none(), st.lists(st.floats(0.3, 1.0), min_size=8, max_size=8)),
+        data=st.data(),
     )
-    def test_matches_evaluate_at_every_r(self, name, rs, etas):
-        unitary = presets.builtin_unitary(name)
+    def test_matches_evaluate_at_every_r(self, case, rs, data):
+        criteria, unitary = case
+        n = len(unitary)
+        per_mode = st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)
+        etas = data.draw(st.one_of(st.none(), per_mode))
         loss = None if etas is None else LossModel(tuple(etas))
-        terms = squeezing_terms(unitary, ORIENTATIONS, loss)
-        for c in presets.builtin_criteria(name):
+        terms = squeezing_terms(unitary, presets.experiment_pattern(0.0, n).orientations, loss)
+        for c in criteria:
             unit = lhs_curve(c, terms, rs, "unit")
             optimal = lhs_curve(c, terms, rs, "optimal")
             for r, unit_lhs, optimal_lhs in zip(rs, unit, optimal):
-                state = presets.cluster_state(unitary, presets.experiment_pattern(r), loss=loss)
+                pattern = presets.experiment_pattern(r, n)
+                state = presets.cluster_state(unitary, pattern, loss=loss)
                 expected_unit = evaluate(c, state, unit_gains(c)).lhs
                 expected_optimal = evaluate(c, state, optimal_gains_numeric(c, state)).lhs
                 assert abs(unit_lhs - expected_unit) <= 1e-12 * max(1.0, expected_unit)

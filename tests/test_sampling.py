@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cvcluster import graphs, network, presets, sampling
 from cvcluster.config import load_config
-from cvcluster.criteria import realize, unit_gains
+from cvcluster.criteria import unit_gains
 from cvcluster.gaussian import (
     LossModel,
     SqueezePattern,
@@ -33,7 +33,7 @@ def check_vectors(config):
     """The (k, 2n) stack `sample` checks on a builtin config with unit gains."""
     vectors = presets.nullifier_vectors(config.graph)
     for c in config.criteria():
-        vectors += [realize(terms, c.n, unit_gains(c)) for terms in (c.u, c.v)]
+        vectors += list(c.sides(unit_gains(c)))
     return np.array(vectors)
 
 
@@ -99,8 +99,7 @@ def test_criterion_3a_lhs_from_samples():
     gains = unit_gains(c)
     batch = sample_quadratures(state, 400_000, seed=8)
     total, spread = 0.0, 0.0
-    for terms in (c.u, c.v):
-        vec = realize(terms, c.n, gains)
+    for vec in c.sides(gains):
         est = estimate_variance(batch, vec)
         total += est.estimate
         spread += est.std_error
