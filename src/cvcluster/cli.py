@@ -53,12 +53,10 @@ from .gaussian import (
 )
 from .network import (
     DIAMOND_LOCAL_PHASES,
-    assemble_unitary,
     chain8_element_sequence,
     compose_sequence,
     element_matrix,
     gram_factor_sequential,
-    input_basis_convert,
     inverse_gram,
 )
 from .sampling import estimate_variances
@@ -155,10 +153,9 @@ def cmd_compile(args) -> int:
     out = Path(args.out)
     label = _graph_label(config)
 
+    unitary = config.build_unitary()
     if config.graph_name is None:
-        a = graphs.adjacency(config.graph)
-        factor = gram_factor_sequential(inverse_gram(a))
-        unitary = input_basis_convert(assemble_unitary(a, factor), config.x_squeezed_inputs)
+        factor = gram_factor_sequential(inverse_gram(graphs.adjacency(config.graph)))
     else:
         # Both builtin networks are built from the published chain factor.
         factor = presets.chain8_factor()
@@ -445,6 +442,9 @@ def cmd_sample(args) -> int:
         gains = _resolve_gains(args, config, criteria, state)
         for c in criteria:
             named += zip((f"{c.cid}_u", f"{c.cid}_v"), c.sides(gains[c.cid]))
+    elif isinstance(config.gains_spec, dict):
+        # Nullifier checks take no gains, but an unknown slot is still a config error.
+        _resolve_gains(args, config, config.criteria(), state)
     est = estimate_variances(state, np.array([vec for _, vec in named]), args.n, args.seed)
 
     checks = []

@@ -17,10 +17,9 @@ from . import graphs
 from .gaussian import SqueezePattern, cluster_state, combination_vector
 from .criteria import Criterion, graph_criteria
 from .network import (
-    assemble_unitary,
+    compile_cluster_unitary,
     diamond_from_linear,
     gram_factor_sequential,
-    input_basis_convert,
     inverse_gram,
 )
 
@@ -84,7 +83,7 @@ def chain8_factor() -> np.ndarray:
 def chain8_unitary() -> np.ndarray:
     """Network matrix of the 8-mode chain cluster experiment."""
     a = graphs.adjacency(graphs.linear_chain(8))
-    u = input_basis_convert(assemble_unitary(a, chain8_factor()), X_SQUEEZED_INPUTS)
+    u = compile_cluster_unitary(a, X_SQUEEZED_INPUTS, CHAIN8_PIVOT_SIGNS)
     u.setflags(write=False)
     return u
 

@@ -488,6 +488,25 @@ class TestSampleCommand:
         assert main(argv) == 1
         assert "drew samples" in capsys.readouterr().err
 
+    def test_unknown_config_gain_slot_on_a_custom_graph_rejected_before_any_draw(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(sampling, "_blocks", no_draws)
+        graph = {"n": 3, "edges": [[1, 2], [2, 3]]}
+        squeeze = {"r": 0.5, "orientations": ["x", "p", "x"]}
+        argv = ["sample", "--out", str(tmp_path), "--n", "10", "--config"]
+        for name, gains in (("bad", {"no_such_slot": 0.5}), ("good", {"g2_1": 0.5})):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(base_config(graph=graph, squeeze=squeeze, gains=gains)))
+            assert main(argv + [str(config)]) == (2 if name == "bad" else 1)
+        err = capsys.readouterr().err
+        assert "unknown gain slots ['no_such_slot']" in err
+        # With a known slot the same run reaches the draw.
+        assert "drew samples" in err
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         argv = ["sample", "--config", "linear8", "--out", str(tmp_path), "--seed", "-1"]
         assert main(argv + ["--n", "10"]) == 2

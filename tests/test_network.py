@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cvcluster import graphs, network, presets
@@ -18,11 +18,9 @@ def random_adjacency(rng, n):
 
 
 def compiled_chain8():
-    a = chain8_adjacency()
-    factor = network.gram_factor_sequential(
-        network.inverse_gram(a), pivot_signs=presets.CHAIN8_PIVOT_SIGNS
+    return network.compile_cluster_unitary(
+        chain8_adjacency(), (1, 3, 5, 7), presets.CHAIN8_PIVOT_SIGNS
     )
-    return network.input_basis_convert(network.assemble_unitary(a, factor), (1, 3, 5, 7))
 
 
 def solve_order(n):
@@ -172,8 +170,37 @@ class TestAssembleUnitary:
 
     def test_gram_precondition_enforced(self):
         a = chain8_adjacency()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Gram condition"):
             network.assemble_unitary(a, np.eye(8))
+
+    @given(
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        log_eps=st.floats(-15.0, -6.0),
+    )
+    # Either side of the 1e-12 unitarity tolerance on 40 modes.
+    @example(n=40, seed=3, log_eps=-13.5)
+    @example(n=40, seed=3, log_eps=-13.0)
+    def test_unitarity_check_stands_in_for_gram_check(self, n, seed, log_eps):
+        # U U^dag - I = (I + iA)(R R^T - G)(I - iA) and I +- iA has singular
+        # values >= 1, so the unitarity check bounds the Gram residual.
+        rng = np.random.default_rng(seed)
+        a = random_adjacency(rng, n)
+        gram = network.inverse_gram(a)
+        factor = network.gram_factor_sequential(gram)
+        factor = factor + 10.0**log_eps * rng.standard_normal((n, n))
+        unitary = network.is_unitary((np.eye(n) + 1j * a) @ factor)
+        residual = np.max(np.abs(factor @ factor.T - gram))
+        try:
+            network.assemble_unitary(a, factor)
+        except ValueError:
+            raised = True
+        else:
+            raised = False
+            assert residual <= n * 1e-12
+        assert raised == (not unitary)
+        if residual > 1e-10:
+            assert raised
 
 
 class TestInputBasisConvert:
@@ -293,3 +320,7 @@ def test_chain8_sequence_has_seven_beamsplitters():
 
 def test_pipeline_matches_published_chain_network():
     assert np.max(np.abs(compiled_chain8() - CHAIN8_UNITARY)) < 1e-12
+
+
+def test_published_chain_network_is_the_one_pipeline():
+    assert np.array_equal(presets.chain8_unitary(), compiled_chain8())
