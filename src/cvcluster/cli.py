@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, graphs, presets, reference
+from . import __version__, presets, reference
 from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, _finite, load_config
 from .criteria import (
     full_inseparability_report,
@@ -56,8 +56,6 @@ from .network import (
     chain8_element_sequence,
     compose_sequence,
     element_matrix,
-    gram_factor_sequential,
-    inverse_gram,
 )
 from .sampling import estimate_variances
 
@@ -153,13 +151,7 @@ def cmd_compile(args) -> int:
     out = Path(args.out)
     label = _graph_label(config)
 
-    unitary = config.build_unitary()
-    if config.graph_name is None:
-        factor = gram_factor_sequential(inverse_gram(graphs.adjacency(config.graph)))
-    else:
-        # Both builtin networks are built from the published chain factor.
-        factor = presets.chain8_factor()
-        unitary = presets.builtin_unitary(config.graph_name)
+    factor, unitary = config.build_network()
     gram_payload = {"graph": label, "matrix": factor}
     if config.graph_name == "diamond8":
         gram_payload["base_graph"] = "linear8"
@@ -221,12 +213,12 @@ def cmd_simulate(args) -> int:
     pattern = config.simulation_pattern()
     loss = config.simulation_loss()
     state = presets.cluster_state(unitary, pattern, loss=loss)
-    vectors = presets.nullifier_vectors(config.graph)
+    vectors = np.array(presets.nullifier_vectors(config.graph))
     noises = excess_noise_decomposition(unitary, pattern, vectors)
+    variances = quadrature_variance(state, vectors).tolist()
 
     rows = []
-    for mode, (vec, noise) in enumerate(zip(vectors, noises), start=1):
-        variance = quadrature_variance(state, vec)
+    for mode, (vec, variance, noise) in enumerate(zip(vectors, variances, noises), start=1):
         qnl = qnl_variance(vec)
         rows.append(
             {
@@ -235,9 +227,7 @@ def cmd_simulate(args) -> int:
                 "qnl": qnl,
                 "ratio": variance / qnl,
                 "db": variance_db(variance, qnl),
-                "squeezed_terms": [
-                    [t.mode, t.quadrature, t.coefficient] for t in noise.squeezed
-                ],
+                "squeezed_terms": noise.squeezed,
                 "max_anti_coefficient": noise.max_anti_coefficient,
             }
         )
@@ -445,11 +435,15 @@ def cmd_sample(args) -> int:
     elif isinstance(config.gains_spec, dict):
         # Nullifier checks take no gains, but an unknown slot is still a config error.
         _resolve_gains(args, config, config.criteria(), state)
-    est = estimate_variances(state, np.array([vec for _, vec in named]), args.n, args.seed)
+    names, vectors = zip(*named)
+    vectors = np.array(vectors)
+    est = estimate_variances(state, vectors, args.n, args.seed)
+    model = quadrature_variance(state, vectors).tolist()
 
     checks = []
-    for (name, vec), estimate, se in zip(named, est.estimate.tolist(), est.std_error.tolist()):
-        analytic = quadrature_variance(state, vec)
+    for name, analytic, estimate, se in zip(
+        names, model, est.estimate.tolist(), est.std_error.tolist()
+    ):
         z = (estimate - analytic) / se
         checks.append(dict(name=name, analytic=analytic, estimate=estimate, std_error=se, z=z))
 

@@ -69,12 +69,16 @@ class ExperimentConfig:
             j + 1 for j, o in enumerate(self.pattern.orientations) if o == "x"
         )
 
-    def build_unitary(self) -> np.ndarray:
+    def build_network(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gram factor and network matrix; a builtin graph's are the published ones."""
         if self.graph_name is not None:
-            return presets.builtin_unitary(self.graph_name)
+            return presets.builtin_network(self.graph_name)
         return compile_cluster_unitary(
             graphs.adjacency(self.graph), x_squeezed_inputs=self.x_squeezed_inputs
         )
+
+    def build_unitary(self) -> np.ndarray:
+        return self.build_network()[1]
 
     def build_state(self) -> GaussianState:
         return presets.cluster_state(
@@ -139,8 +143,7 @@ def _parse_pattern(raw, n: int) -> SqueezePattern:
     rs = _per_mode(raw["r"], n, "squeeze.r")
     orientations = raw.get("orientations")
     if orientations is None:
-        pattern = SqueezePattern.alternating(n, 0.0, first="x")
-        orientations = pattern.orientations
+        orientations = SqueezePattern.alternating(n, 0.0).orientations
     else:
         orientations = tuple(orientations)
     if len(orientations) != n:

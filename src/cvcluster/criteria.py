@@ -184,8 +184,9 @@ def vlf_bound(criterion: Criterion, gains: GainSet) -> float:
 
 def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> CriterionResult:
     """Variance sum, bound and verdict of one criterion on a state."""
-    u_vec, v_vec = criterion.sides(gains)
-    u_var, v_var = quadrature_variance(state, u_vec), quadrature_variance(state, v_vec)
+    sides = criterion.sides(gains)
+    u_var, v_var = quadrature_variance(state, sides).tolist()
+    u_vec, v_vec = sides
     lhs = u_var + v_var
     bound = vlf_bound(criterion, gains)
     return CriterionResult(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,11 +66,9 @@ class SqueezePattern:
         return len(self.orientations)
 
     @classmethod
-    def alternating(cls, n: int, r: float, first: str = "x") -> "SqueezePattern":
-        """x,p,x,p,... pattern (or p,x,... with first='p'), equal r throughout."""
-        second = "p" if first == "x" else "x"
-        orientations = tuple(first if j % 2 == 0 else second for j in range(n))
-        return cls(orientations=orientations, rs=(float(r),) * n)
+    def alternating(cls, n: int, r: float) -> "SqueezePattern":
+        """x,p,x,p,... pattern, equal r throughout."""
+        return cls(orientations=tuple("xp"[j % 2] for j in range(n)), rs=(float(r),) * n)
 
     @classmethod
     def uniform(cls, n: int, r: float, orientation: str = "p") -> "SqueezePattern":
@@ -90,14 +90,13 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
             raise ValueError(f"covariance must be 2n x 2n, got shape {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=1e-10):
-            raise ValueError("covariance must be symmetric")
-        n = cov.shape[0] // 2
-        # Uncertainty bound: cov + (i/4) Omega must be positive semidefinite.
-        # Rounding in the eigenvalues grows with the largest entry, so the
-        # tolerance does too; states of order one keep the 1e-10 floor.
-        bound = cov + 0.25j * omega(n)
+        # Rounding grows with the largest entry, so the tolerance of both
+        # checks does too; states of order one keep the 1e-10 floor.
         tol = 1e-10 * max(1.0, float(np.max(np.abs(cov))))
+        if np.max(np.abs(cov - cov.T)) > tol:
+            raise ValueError("covariance must be symmetric")
+        # Uncertainty bound: cov + (i/4) Omega must be positive semidefinite.
+        bound = cov + 0.25j * omega(cov.shape[0] // 2)
         if np.min(np.linalg.eigvalsh(bound)) < -tol:
             raise ValueError("covariance violates the uncertainty bound")
 
@@ -245,12 +244,20 @@ def combination_vector(n: int, terms) -> np.ndarray:
     return c
 
 
-def quadrature_variance(state: GaussianState, coeffs: np.ndarray) -> float:
-    """Variance of the linear combination c . (x.., p..)."""
+def quadrature_variance(state: GaussianState, coeffs: np.ndarray) -> float | np.ndarray:
+    """Variance c·cov·c of the linear combination c · (x.., p..).
+
+    ``coeffs`` is one vector of length 2n, giving a float, or a (k, 2n) stack,
+    giving k variances in one batched product: each row is the vector-matrix
+    then vector-vector product of a single vector, so a stack reads the same
+    bits as its rows one at a time.
+    """
     c = np.asarray(coeffs, dtype=float)
-    if c.shape != (state.cov.shape[0],):
-        raise ValueError(f"coefficient length {c.shape} does not match state")
-    return float(c @ state.cov @ c)
+    if c.ndim not in (1, 2) or c.shape[-1] != state.cov.shape[0]:
+        raise ValueError(f"coefficient shape {c.shape} does not match state")
+    rows = np.atleast_2d(c)
+    variances = (rows[:, None, :] @ state.cov @ rows[:, :, None]).ravel()
+    return float(variances[0]) if c.ndim == 1 else variances
 
 
 def qnl_variance(coeffs: np.ndarray) -> float:
@@ -266,8 +273,9 @@ def variance_db(v: float, qnl: float) -> float:
     return 10.0 * np.log10(v / qnl)
 
 
-@dataclass(frozen=True)
-class ExcessNoiseTerm:
+class ExcessNoiseTerm(NamedTuple):
+    """Coefficient on one input quadrature, the (mode, quadrature, coefficient) triple."""
+
     mode: int
     quadrature: str
     coefficient: float
@@ -299,28 +307,23 @@ def excess_noise_decomposition(
     input quadrature is a vacuum operator scaled by exp(-r) (the squeezed
     quadrature of its mode) or exp(+r) (the conjugate one).  All
     combinations are pulled back in one product: row i of C·S is Sᵀ c_i.
+    Every term above 1e-12 is then read off one mask over the pulled-back
+    matrix, each side's terms in mode order: x_1, p_1, x_2, p_2, ...
     """
     n = pattern.n
     squeezed = _squeezed_quadratures(pattern.orientations)
     pulled = np.asarray(combinations, dtype=float).reshape(-1, 2 * n) @ symplectic_from_unitary(u)
     variances = pulled**2 @ _input_variances(pattern)
     max_anti = np.max(np.abs(pulled[:, ~squeezed]), axis=1)
-    # Input quadratures in mode order: x_1, p_1, x_2, p_2, ...
-    order = np.arange(2 * n).reshape(2, n).T.ravel()
-    report_tol = 1e-12
-    out = []
-    for w, variance, anti in zip(pulled, variances.tolist(), max_anti.tolist()):
-
-        def listed(side):
-            kept = order[side[order] & (np.abs(w[order]) > report_tol)]
-            return tuple(ExcessNoiseTerm(int(i % n) + 1, "xp"[i // n], float(w[i])) for i in kept)
-
-        out.append(
-            NullifierNoise(
-                squeezed=listed(squeezed),
-                anti=listed(~squeezed),
-                variance=variance,
-                max_anti_coefficient=anti,
-            )
-        )
-    return out
+    # Axes (combination, side, mode, quadrature), the squeezed side first, so
+    # np.nonzero lists the terms combination by combination, side by side.
+    by_mode = pulled.reshape(-1, 2, n).transpose(0, 2, 1)
+    sides = np.stack([squeezed, ~squeezed]).reshape(2, 2, n).transpose(0, 2, 1)
+    kept = (np.abs(by_mode) > 1e-12)[:, None] & sides
+    row, _, mode, quad = np.nonzero(kept)
+    labels = np.array(["x", "p"])[quad].tolist()
+    terms = map(ExcessNoiseTerm, (mode + 1).tolist(), labels, by_mode[row, mode, quad].tolist())
+    groups = [tuple(islice(terms, count)) for count in kept.sum(axis=(2, 3)).ravel().tolist()]
+    return list(
+        map(NullifierNoise, groups[0::2], groups[1::2], variances.tolist(), max_anti.tolist())
+    )

@@ -8,8 +8,9 @@ nullifier of mode k; multiplying column k by ``1j`` retargets it to an
 amplitude-squeezed input instead.
 
 :func:`compile_cluster_unitary` is the one pipeline from adjacency matrix to
-network, published pivot signs included, and checks the Gram condition on R
-once, as unitarity of the network.  All functions are pure numpy.
+network, published pivot signs included.  It hands back R with the network
+and checks the Gram condition on R once, as unitarity of the network.  All
+functions are pure numpy.
 """
 
 from __future__ import annotations
@@ -272,17 +273,19 @@ def compose_sequence(sequence, n: int) -> np.ndarray:
 
 def compile_cluster_unitary(
     adjacency: np.ndarray, x_squeezed_inputs=(), pivot_signs=None
-) -> np.ndarray:
-    """Full pipeline from adjacency matrix to network matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full pipeline from adjacency matrix to network: ``(factor, unitary)``.
 
     The Gram inverse is factored with ``pivot_signs`` (all +1 by default),
     assembled with the adjacency phases, and finally re-phased on the columns
-    listed in ``x_squeezed_inputs``.  Other pivot signs change only the signs
-    of columns, which leaves the cluster state unchanged; the published
-    8-mode networks pass their own signs (``presets.CHAIN8_PIVOT_SIGNS``).
+    listed in ``x_squeezed_inputs``.  Both the Gram factor R and the network
+    matrix are returned, so a caller that writes R never solves it again.
+    Other pivot signs change only the signs of columns, which leaves the
+    cluster state unchanged; the published 8-mode networks pass their own
+    signs (``presets.CHAIN8_PIVOT_SIGNS``).
     """
     factor = gram_factor_sequential(inverse_gram(adjacency), pivot_signs=pivot_signs)
-    return input_basis_convert(assemble_unitary(adjacency, factor), x_squeezed_inputs)
+    return factor, input_basis_convert(assemble_unitary(adjacency, factor), x_squeezed_inputs)
 
 
 def chain8_transmissions() -> dict[int, float]:

@@ -16,23 +16,17 @@ import numpy as np
 from . import graphs
 from .gaussian import SqueezePattern, cluster_state, combination_vector
 from .criteria import Criterion, graph_criteria
-from .network import (
-    compile_cluster_unitary,
-    diamond_from_linear,
-    gram_factor_sequential,
-    inverse_gram,
-)
+from .network import compile_cluster_unitary, diamond_from_linear
 
 __all__ = [
     "X_SQUEEZED_INPUTS",
     "CHAIN8_PIVOT_SIGNS",
     "PUBLISHED_LABELS",
-    "chain8_factor",
+    "builtin_network",
     "chain8_unitary",
     "diamond8_unitary",
     "experiment_pattern",
     "builtin_graph",
-    "builtin_unitary",
     "builtin_criteria",
     "nullifier_vectors",
     "cluster_state",
@@ -71,34 +65,38 @@ PUBLISHED_LABELS = {
 
 
 @lru_cache(maxsize=None)
-def chain8_factor() -> np.ndarray:
-    """Gram factor of the 8-mode chain with the published pivot signs."""
-    a = graphs.adjacency(graphs.linear_chain(8))
-    factor = gram_factor_sequential(inverse_gram(a), pivot_signs=CHAIN8_PIVOT_SIGNS)
-    factor.setflags(write=False)
-    return factor
+def builtin_network(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gram factor and network matrix of a builtin experiment, both read-only.
+
+    Both networks are built from the chain factor with the published pivot
+    signs, so the two-diamond experiment shares it.
+    """
+    if name == "linear8":
+        a = graphs.adjacency(graphs.linear_chain(8))
+        network = compile_cluster_unitary(a, X_SQUEEZED_INPUTS, CHAIN8_PIVOT_SIGNS)
+    elif name == "diamond8":
+        factor, chain = builtin_network("linear8")
+        network = factor, diamond_from_linear(chain)
+    else:
+        raise ValueError(f"unknown builtin graph {name!r}")
+    for matrix in network:
+        matrix.setflags(write=False)
+    return network
 
 
-@lru_cache(maxsize=None)
 def chain8_unitary() -> np.ndarray:
     """Network matrix of the 8-mode chain cluster experiment."""
-    a = graphs.adjacency(graphs.linear_chain(8))
-    u = compile_cluster_unitary(a, X_SQUEEZED_INPUTS, CHAIN8_PIVOT_SIGNS)
-    u.setflags(write=False)
-    return u
+    return builtin_network("linear8")[1]
 
 
-@lru_cache(maxsize=None)
 def diamond8_unitary() -> np.ndarray:
     """Network matrix of the two-diamond cluster experiment."""
-    u = diamond_from_linear(chain8_unitary())
-    u.setflags(write=False)
-    return u
+    return builtin_network("diamond8")[1]
 
 
 def experiment_pattern(r: float, n: int = 8) -> SqueezePattern:
     """Amplitude squeezing on the odd modes, phase squeezing on the even ones."""
-    return SqueezePattern.alternating(n, r, first="x")
+    return SqueezePattern.alternating(n, r)
 
 
 def builtin_graph(name: str) -> graphs.Graph:
@@ -106,14 +104,6 @@ def builtin_graph(name: str) -> graphs.Graph:
         return graphs.linear_chain(8)
     if name == "diamond8":
         return graphs.two_diamond()
-    raise ValueError(f"unknown builtin graph {name!r}")
-
-
-def builtin_unitary(name: str) -> np.ndarray:
-    if name == "linear8":
-        return chain8_unitary()
-    if name == "diamond8":
-        return diamond8_unitary()
     raise ValueError(f"unknown builtin graph {name!r}")
 
 

@@ -94,6 +94,10 @@ REFERENCE_NOISE_TERMS_DIAMOND = {
     8: ((6, "p", sqrt(5.0 / 2.0)), (8, "p", 1.0 / sqrt(2.0))),
 }
 
+# Absolute tolerance on a printed expansion coefficient, which carries
+# rounding of order 1e-15 and no measurement error.
+_TERM_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class NoiseTermMismatch:
@@ -107,27 +111,26 @@ class NoiseTermMismatch:
 
     @property
     def magnitudes_agree(self) -> bool:
-        return abs(abs(self.computed) - abs(self.reference)) < 1e-9
+        return abs(abs(self.computed) - abs(self.reference)) < _TERM_ATOL
 
 
 def compare_noise_terms(
-    decompositions: list[NullifierNoise],
-    reference: dict[int, tuple],
-    atol: float = 1e-9,
+    decompositions: list[NullifierNoise], reference: dict[int, tuple]
 ) -> list[NoiseTermMismatch]:
     """Term-by-term comparison of computed noise expansions with a printed table.
 
     Returns the list of disagreements (empty when everything matches).  A
-    missing term on either side counts as a disagreement against zero.
+    missing term on either side counts as a disagreement against zero; a
+    term disagrees when it differs by more than 1e-9.
     """
     mismatches = []
     for mode, noise in enumerate(decompositions, start=1):
-        computed = {(t.mode, t.quadrature): t.coefficient for t in noise.squeezed}
+        computed = {(m, q): coeff for m, q, coeff in noise.squeezed}
         printed = {(m, q): coeff for m, q, coeff in reference[mode]}
         for key in sorted(set(computed) | set(printed)):
             got = computed.get(key, 0.0)
             want = printed.get(key, 0.0)
-            if abs(got - want) > atol:
+            if abs(got - want) > _TERM_ATOL:
                 mismatches.append(
                     NoiseTermMismatch(
                         mode=mode,

@@ -215,3 +215,13 @@ COMPILE_SHA256 = {
 }
 COMPILE_SHA256["linear8_physical"] = COMPILE_SHA256["linear8"]
 COMPILE_SHA256["diamond8_physical"] = COMPILE_SHA256["diamond8"]
+
+# sha256 of simulate.json before its variances were read as one stack and its
+# noise terms off one mask, with the same numpy and BLAS caveat as above.
+SIMULATE_SHA256 = {
+    "linear8": "93ca82f138a188825227d2211a1a3e4888c8bd40ef325ac286764e10e16af848",
+    "diamond8": "cf21706ee7796b927d65aef9bcc04375f4abb0c48d28d9d67a6710b7a6ab5f77",
+    "linear8_physical": "497fc9b404eb7831d129b15e512fcd22420c8523a76943a9c13b15c2fd7373c4",
+    "diamond8_physical": "ae454b59ffddfec5683350dd07ceb738f148a9daa234cf2a467785602ab0154f",
+    "custom64": "22371b9a0b33cc7a4ec124d6d010db6c2b0dcf7c3eb81cccb84e76aa0004d00b",
+}

@@ -268,7 +268,7 @@ def test_acceptance_8_property_suites():
         n = int(rng.integers(2, 11))
         upper = np.triu((rng.random((n, n)) < 0.4).astype(float), k=1)
         a = upper + upper.T
-        u = network.compile_cluster_unitary(a)
+        _, u = network.compile_cluster_unitary(a)
         s = symplectic_from_unitary(u)
         form = omega(n)
         worst_residual = max(

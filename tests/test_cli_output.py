@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cvcluster import network
 from cvcluster.cli import _write_json, main
 
-from expected import COMPILE_SHA256, CUSTOM64_CONFIG
+from expected import COMPILE_SHA256, CUSTOM64_CONFIG, SIMULATE_SHA256
 
 SPECIAL_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e300]
 
@@ -113,18 +115,35 @@ def test_unserializable_objects_are_still_rejected():
         written({"value": object()})
 
 
-@pytest.mark.parametrize("config", sorted(COMPILE_SHA256))
-def test_compile_bytes_are_pinned(config, tmp_path):
+def run_pinned(command, config, tmp_path) -> dict[str, str]:
+    """sha256 of every file ``command`` writes for a builtin config or custom64."""
     if config == "custom64":
         path = tmp_path / "custom64.json"
         path.write_text(json.dumps(CUSTOM64_CONFIG))
-        config_arg = str(path)
-    else:
-        config_arg = config
+        config = str(path)
     out = tmp_path / "out"
-    assert main(["compile", "--config", config_arg, "--out", str(out)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == COMPILE_SHA256[config]
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("config", sorted(COMPILE_SHA256))
+def test_compile_bytes_are_pinned(config, tmp_path):
+    assert run_pinned("compile", config, tmp_path) == COMPILE_SHA256[config]
+
+
+def test_compile_solves_the_gram_factor_once(tmp_path, monkeypatch):
+    solves = []
+    original = network.inverse_gram
+    for module in [m for name, m in sys.modules.items() if name.startswith("cvcluster")]:
+        if getattr(module, "inverse_gram", None) is original:
+            monkeypatch.setattr(module, "inverse_gram", lambda a: solves.append(a) or original(a))
+    run_pinned("compile", "custom64", tmp_path)
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("config", sorted(SIMULATE_SHA256))
+def test_simulate_bytes_are_pinned(config, tmp_path):
+    assert run_pinned("simulate", config, tmp_path) == {"simulate.json": SIMULATE_SHA256[config]}
 
 
 def test_reference_term_mismatches_are_unchanged(tmp_path):

@@ -55,14 +55,14 @@ def graph_cases(draw):
     2..12 modes (with a triangle on modes 1-3 in about half of them)."""
     name = draw(st.sampled_from(["linear8", "diamond8", "random"]))
     if name != "random":
-        return presets.builtin_criteria(name), presets.builtin_unitary(name)
+        return presets.builtin_criteria(name), presets.builtin_network(name)[1]
     n = draw(st.integers(2, 12))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     edges = draw(st.sets(st.sampled_from(pairs)))
     if n >= 3 and draw(st.booleans()):
         edges |= {(1, 2), (2, 3), (1, 3)}
     graph = graphs.Graph.from_edges(n, edges)
-    unitary = compile_cluster_unitary(
+    _, unitary = compile_cluster_unitary(
         graphs.adjacency(graph), x_squeezed_inputs=range(1, n + 1, 2)
     )
     return graph_criteria(graph), unitary
@@ -325,7 +325,7 @@ class TestOptimalGains:
     )
     def test_solved_gains_minimise_under_per_mode_loss(self, name, r, etas, shifts):
         state = presets.cluster_state(
-            presets.builtin_unitary(name),
+            presets.builtin_network(name)[1],
             presets.experiment_pattern(r),
             loss=LossModel(tuple(etas)),
         )
@@ -500,7 +500,7 @@ class TestReports:
         # Edges 1-2 and 3-4 leave the split {1, 2} | {3, 4} unrefuted even
         # though both of their criteria are satisfied.
         graph = graphs.Graph.from_edges(4, [(1, 2), (3, 4)])
-        unitary = compile_cluster_unitary(graphs.adjacency(graph), x_squeezed_inputs=(1, 3))
+        _, unitary = compile_cluster_unitary(graphs.adjacency(graph), x_squeezed_inputs=(1, 3))
         state = presets.cluster_state(unitary, presets.experiment_pattern(0.8, 4))
         criteria = graph_criteria(graph)
         report = full_inseparability_report(criteria, state, resolve_gains(criteria, "unit"))

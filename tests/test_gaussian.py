@@ -266,7 +266,7 @@ def cluster_networks(draw):
     graph = graphs.Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))))
     orientations = tuple(draw(st.lists(st.sampled_from("xp"), min_size=n, max_size=n)))
     x_inputs = tuple(j + 1 for j, o in enumerate(orientations) if o == "x")
-    u = network.compile_cluster_unitary(graphs.adjacency(graph), x_squeezed_inputs=x_inputs)
+    _, u = network.compile_cluster_unitary(graphs.adjacency(graph), x_squeezed_inputs=x_inputs)
     return u, orientations
 
 
@@ -369,7 +369,7 @@ class TestSqueezingTerms:
         upper = np.triu((rng.random((n, n)) < 0.45).astype(float), k=1)
         orientations = tuple(rng.choice(["x", "p"], n))
         x_inputs = tuple(j + 1 for j, o in enumerate(orientations) if o == "x")
-        u = network.compile_cluster_unitary(upper + upper.T, x_squeezed_inputs=x_inputs)
+        _, u = network.compile_cluster_unitary(upper + upper.T, x_squeezed_inputs=x_inputs)
         loss = LossModel(tuple(rng.uniform(0.0, 1.0, n))) if lossy else None
         cov = composed_covariance(u, SqueezePattern(orientations, (r,) * n), loss)
         expanded = expanded_covariance(squeezing_terms(u, orientations, loss), r)
@@ -393,6 +393,15 @@ def test_state_validation():
         GaussianState(cov=np.array([[0.25, 0.1], [0.0, 0.25]]))  # not symmetric
     with pytest.raises(ValueError):
         GaussianState(cov=np.diag([0.01, 0.01]))  # beats the uncertainty bound
+
+
+def test_asymmetry_is_checked_against_the_covariance_scale():
+    # A hidden relative tolerance of 1e-5 would let this 5e-6 asymmetry
+    # through; eigvalsh and the sampling Cholesky read one triangle, a
+    # variance both, so the two routes would disagree.
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianState(cov=[[10.0, 1.0], [1.0 + 5e-6, 10.0]])
+    GaussianState(cov=[[10.0, 1.0], [1.0 + 5e-10, 10.0]])  # within 1e-10 of the scale 10
 
 
 @pytest.mark.parametrize("r", [7.0, 8.0, 10.0])

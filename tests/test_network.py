@@ -18,9 +18,10 @@ def random_adjacency(rng, n):
 
 
 def compiled_chain8():
-    return network.compile_cluster_unitary(
+    _, u = network.compile_cluster_unitary(
         chain8_adjacency(), (1, 3, 5, 7), presets.CHAIN8_PIVOT_SIGNS
     )
+    return u
 
 
 def solve_order(n):

@@ -177,7 +177,7 @@ def lossy_cluster_states(draw):
     n = draw(st.integers(2, 8))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     graph = graphs.Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))))
-    unitary = network.compile_cluster_unitary(graphs.adjacency(graph))
+    _, unitary = network.compile_cluster_unitary(graphs.adjacency(graph))
     rs = draw(st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n))
     etas = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     pattern = SqueezePattern(tuple("xp"[j % 2] for j in range(n)), tuple(rs))
@@ -198,6 +198,32 @@ def test_streamed_matches_materialised_on_random_graphs(case, n, block_values, s
     reference = estimate_variance(sample_quadratures(state, n, seed), vectors)
     np.testing.assert_allclose(streamed.estimate, reference.estimate, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(streamed.mean, reference.mean, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [2, 46, 116])
+def test_two_draws_are_centred_exactly(seed):
+    # With two draws the sample mean is as large as the spread, so one-pass
+    # centring, sum y^2 - (sum y)^2 / N, cancels: on these seeds it is off by
+    # 6.1e-12, 1.3e-11 and 1.9e-11 relative.
+    state = chain8_state(0.5)
+    vectors = check_vectors(load_config("linear8"))
+    streamed = estimate_variances(state, vectors, 2, seed)
+    reference = estimate_variance(sample_quadratures(state, 2, seed), vectors)
+    np.testing.assert_allclose(streamed.estimate, reference.estimate, rtol=1e-12, atol=0.0)
+
+
+@given(case=lossy_cluster_states(), k=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_variance_stack_matches_single_vectors(case, k, seed):
+    state, nullifiers = case
+    extra = np.random.default_rng(seed).standard_normal((k, nullifiers.shape[1]))
+    stack = np.vstack([nullifiers, extra])
+    variances = quadrature_variance(state, stack)
+    assert np.array_equal(variances, [quadrature_variance(state, c) for c in stack])
+    assert np.array_equal(variances, [c @ state.cov @ c for c in stack])
+    with pytest.raises(ValueError):
+        quadrature_variance(state, stack[:, :-1])
+    with pytest.raises(ValueError):
+        quadrature_variance(state, stack[None])
 
 
 def test_streamed_memory_does_not_grow_with_draws():
