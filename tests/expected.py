@@ -225,3 +225,20 @@ SIMULATE_SHA256 = {
     "diamond8_physical": "ae454b59ffddfec5683350dd07ceb738f148a9daa234cf2a467785602ab0154f",
     "custom64": "22371b9a0b33cc7a4ec124d6d010db6c2b0dcf7c3eb81cccb84e76aa0004d00b",
 }
+
+# sha256 of sample.json for `sample --n 200000 --seed 1` on each builtin and
+# for one `--gains optimal --seed 7` run, taken when the streamed blocks went
+# to 2**16 normals and were merged as a pairwise tree.  The estimates are sums
+# over draws, so any reordering of those sums moves these digests.
+SAMPLE_SHA256 = {
+    ("linear8", "--n", "200000", "--seed", "1"):
+        "f5d6e340409bef6e4aaf425aa7dc3eeb65312d66cf2c53eb43f05e29a5214f10",
+    ("diamond8", "--n", "200000", "--seed", "1"):
+        "112769d3a2fa937512a43687facc27fd16d85c8fa84957d7587c13038d8ad1ba",
+    ("linear8_physical", "--n", "200000", "--seed", "1"):
+        "7a26bde7d011b6ef632479dabd1dfde2253b7a126da560e417a0447c9ddbd54f",
+    ("diamond8_physical", "--n", "200000", "--seed", "1"):
+        "55aea3b1669bc668fe9ca916ef89ad6d17ca687281e6ae07a6d4885d5f5b4f98",
+    ("diamond8_physical", "--n", "200000", "--seed", "7", "--gains", "optimal"):
+        "9b47cc11259b7a42c77da12c8bdc2bafe21de0265a3c3e8305d2132f984161dd",
+}

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from cvcluster import network
 from cvcluster.cli import _write_json, main
 
-from expected import COMPILE_SHA256, CUSTOM64_CONFIG, SIMULATE_SHA256
+from expected import COMPILE_SHA256, CUSTOM64_CONFIG, SAMPLE_SHA256, SIMULATE_SHA256
 
 SPECIAL_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e300]
 
@@ -115,14 +115,14 @@ def test_unserializable_objects_are_still_rejected():
         written({"value": object()})
 
 
-def run_pinned(command, config, tmp_path) -> dict[str, str]:
-    """sha256 of every file ``command`` writes for a builtin config or custom64."""
+def run_pinned(command, config, tmp_path, *extra) -> dict[str, str]:
+    """sha256 of every file ``command ... *extra`` writes for a builtin config or custom64."""
     if config == "custom64":
         path = tmp_path / "custom64.json"
         path.write_text(json.dumps(CUSTOM64_CONFIG))
         config = str(path)
     out = tmp_path / "out"
-    assert main([command, "--config", config, "--out", str(out)]) == 0
+    assert main([command, "--config", config, "--out", str(out), *extra]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
@@ -144,6 +144,12 @@ def test_compile_solves_the_gram_factor_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("config", sorted(SIMULATE_SHA256))
 def test_simulate_bytes_are_pinned(config, tmp_path):
     assert run_pinned("simulate", config, tmp_path) == {"simulate.json": SIMULATE_SHA256[config]}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_SHA256), ids=" ".join)
+def test_sample_bytes_are_pinned(case, tmp_path):
+    config, *extra = case
+    assert run_pinned("sample", config, tmp_path, *extra) == {"sample.json": SAMPLE_SHA256[case]}
 
 
 def test_reference_term_mismatches_are_unchanged(tmp_path):

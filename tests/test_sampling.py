@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -8,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cvcluster import graphs, network, presets, sampling
-from cvcluster.config import load_config
-from cvcluster.criteria import unit_gains
+from cvcluster.config import BUILTIN_CONFIGS, load_config
+from cvcluster.criteria import resolve_gains, unit_gains
 from cvcluster.gaussian import (
     LossModel,
     SqueezePattern,
@@ -140,6 +141,25 @@ def test_std_error_scaling_with_n():
     assert ratio == pytest.approx(np.sqrt(2.0), rel=0.10)
 
 
+@given(
+    k=st.none() | st.integers(1, 6),
+    n=st.integers(2, 300),
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_moments_are_numpys_mean_and_var(k, n, dim, seed):
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((n, dim)) * rng.uniform(0.01, 100) + rng.uniform(-10, 10)
+    coeffs = rng.standard_normal(dim if k is None else (k, dim))
+    kept_samples, kept_coeffs = samples.copy(), coeffs.copy()
+    est = estimate_variance(sampling.SampleBatch(seed=0, samples=samples), coeffs)
+    projected = coeffs @ samples.T
+    assert np.array_equal(est.mean, projected.mean(-1))
+    assert np.array_equal(est.estimate, projected.var(-1, ddof=1))
+    assert np.array_equal(samples, kept_samples)
+    assert np.array_equal(coeffs, kept_coeffs)
+
+
 # Rows per streamed block for the 16-column 8-mode states.
 BLOCK_ROWS = sampling.BLOCK_VALUES // 16
 
@@ -155,6 +175,21 @@ def test_streamed_matches_materialised_batch(n):
         reference = estimate_variance(batch, vec)
         assert estimate == pytest.approx(reference.estimate, rel=1e-12, abs=0.0)
         assert std_error == pytest.approx(reference.std_error, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("modes, rows", [(8, 4096), (32, 1024), (64, 1024), (256, 1024)])
+def test_wide_blocks_keep_enough_draws_to_amortise_the_product(modes, rows):
+    # Blocks hold 2**16 normals up to 64 columns; wider blocks keep 1024 draws.
+    seen = []
+    original = sampling._blocks
+
+    def recording(dim, n, seed, rows):
+        seen.append(rows)
+        return original(dim, n, seed, rows)
+
+    with mock.patch.object(sampling, "_blocks", recording):
+        estimate_variances(vacuum_state(modes), np.eye(2 * modes)[:2], 3000, seed=0)
+    assert seen == [rows]
 
 
 def test_streamed_zero_vector_estimates_zero():
@@ -188,7 +223,7 @@ def lossy_cluster_states(draw):
 @given(
     case=lossy_cluster_states(),
     n=st.integers(2, 400),
-    block_values=st.sampled_from([1, 40, 100, 2**20]),
+    block_values=st.sampled_from([1, 40, 100, 2**16, 2**20]),
     seed=st.integers(0, 2**32),
 )
 def test_streamed_matches_materialised_on_random_graphs(case, n, block_values, seed):
@@ -210,6 +245,33 @@ def test_two_draws_are_centred_exactly(seed):
     streamed = estimate_variances(state, vectors, 2, seed)
     reference = estimate_variance(sample_quadratures(state, 2, seed), vectors)
     np.testing.assert_allclose(streamed.estimate, reference.estimate, rtol=1e-12, atol=0.0)
+
+
+def test_streamed_estimates_match_an_exact_two_pass_sum():
+    # The checks of five `sample` ops (each builtin, and diamond8_physical with
+    # optimal gains) at 10**6 draws, 245 blocks.  Merged one block after the
+    # other, those blocks drift from the exact sum by 1.2e-15 to 1.6e-15
+    # relative; the pairwise tree stays below 3.3e-16.
+    n, seed = 1_000_000, 1
+    normals = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, 16))
+    cases = [(name, None) for name in BUILTIN_CONFIGS]
+    cases.append(("diamond8_physical", "optimal"))
+    for name, gains in cases:
+        config = load_config(name)
+        state = config.build_state()
+        criteria = config.criteria()
+        table = resolve_gains(criteria, gains or config.gains_spec, state=state)
+        vectors = np.array(
+            presets.nullifier_vectors(config.graph)
+            + [side for c in criteria for side in c.sides(table[c.cid])]
+        )
+        streamed = estimate_variances(state, vectors, n, seed)
+        for pulled, estimate in zip(vectors @ np.linalg.cholesky(state.cov), streamed.estimate):
+            projected = normals @ pulled
+            mean = math.fsum(projected.tolist()) / n
+            deviations = projected - mean
+            exact = math.fsum((deviations * deviations).tolist()) / (n - 1)
+            assert abs(estimate - exact) <= 1e-15 * exact, (name, gains)
 
 
 @given(case=lossy_cluster_states(), k=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
@@ -243,6 +305,21 @@ def test_streamed_memory_does_not_grow_with_draws():
         tracemalloc.stop()
     assert streamed < 64 * 2**20
     assert materialised > 200 * 2**20
+
+
+def test_streamed_blocks_stay_cache_sized():
+    # One 2**16-value block of normals (512 KB) and its projection onto the
+    # 26 checks (0.85 MB) are all the route holds at a time.
+    config = load_config("diamond8_physical")
+    state = config.build_state()
+    vectors = check_vectors(config)
+    tracemalloc.start()
+    try:
+        estimate_variances(state, vectors, 1_000_000, seed=1)
+        streamed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed < 4 * 2**20
 
 
 def test_covariance_that_is_not_positive_definite_is_rejected_before_any_draw():
