@@ -164,7 +164,12 @@ def test_in_place_moments_are_numpys_mean_and_var(k, n, dim, seed):
 BLOCK_ROWS = sampling.BLOCK_VALUES // 16
 
 
-@pytest.mark.parametrize("n", [2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+@pytest.mark.parametrize(
+    "n",
+    [2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+    # 16 and 32 whole blocks: a run one short of, at, and one past a boundary deep in the tree.
+    + [16 * BLOCK_ROWS - 1, 16 * BLOCK_ROWS, 16 * BLOCK_ROWS + 1, 32 * BLOCK_ROWS + 1],
+)
 def test_streamed_matches_materialised_batch(n):
     # B + 1 and 2B + 1 would leave a block of one draw, which cannot carry a variance.
     state = chain8_state(0.5)
