@@ -30,20 +30,14 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, presets, reference
-from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, _finite, load_config
-from .criteria import (
-    full_inseparability_report,
-    lhs_curve,
-    resolve_gains,
-    threshold_r,
-    unit_gains,
-    vlf_bound,
-)
+from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, _parse_gains, load_config
+from .criteria import full_inseparability_report, lhs_curve, resolve_gains, threshold_r, vlf_bound
 from .gaussian import (
     excess_noise_decomposition,
     qnl_variance,
@@ -133,8 +127,10 @@ def _resolve_gains(args, config: ExperimentConfig, criteria, state):
             raise ConfigError(f"--gains must be 'unit', 'optimal' or a JSON file, got {spec!r}")
         try:
             values = json.loads(path.read_text())
-            spec = {str(k): _finite(v, f"gain {k}") for k, v in values.items()}
-        except (json.JSONDecodeError, AttributeError, ValueError) as exc:
+            if not isinstance(values, dict):
+                raise ValueError("expected a JSON object of slot values")
+            spec = _parse_gains(values)
+        except ValueError as exc:
             raise ConfigError(f"invalid gains file {path}: {exc}") from exc
     try:
         return resolve_gains(criteria, spec, state=state)
@@ -181,15 +177,7 @@ def cmd_compile(args) -> int:
             {
                 "graph": label,
                 "max_deviation_from_network": deviation,
-                "sequence": [
-                    {
-                        "kind": e.kind,
-                        "modes": list(e.modes),
-                        "transmission": e.transmission,
-                        "sign": e.sign,
-                    }
-                    for e in sequence
-                ],
+                "sequence": [asdict(e) for e in sequence],
                 "matrices": _complex_pairs(np.array([element_matrix(e, 8) for e in sequence])),
             },
         )
@@ -211,7 +199,7 @@ def cmd_simulate(args) -> int:
     label = _graph_label(config)
     unitary = config.build_unitary()
     pattern = config.simulation_pattern()
-    loss = config.simulation_loss()
+    loss = config.loss
     state = presets.cluster_state(unitary, pattern, loss=loss)
     vectors = np.array(presets.nullifier_vectors(config.graph))
     noises = excess_noise_decomposition(unitary, pattern, vectors)
@@ -247,23 +235,11 @@ def cmd_simulate(args) -> int:
             float(-0.5 * np.log(eta * np.exp(-2.0 * r) + 1.0 - eta))
             for eta, r in zip(loss.etas, config.pattern.rs)
         ]
-    if config.graph_name is not None:
-        table = (
-            reference.REFERENCE_NOISE_TERMS_LINEAR
-            if config.graph_name == "linear8"
-            else reference.REFERENCE_NOISE_TERMS_DIAMOND
-        )
-        mismatches = reference.compare_noise_terms(noises, table)
+    published = presets.PUBLISHED.get(config.graph_name)
+    if published is not None:
         payload["reference_term_mismatches"] = [
-            {
-                "mode": m.mode,
-                "input_mode": m.input_mode,
-                "quadrature": m.quadrature,
-                "computed": m.computed,
-                "reference": m.reference,
-                "magnitudes_agree": m.magnitudes_agree,
-            }
-            for m in mismatches
+            {**asdict(m), "magnitudes_agree": m.magnitudes_agree}
+            for m in reference.compare_noise_terms(noises, published.noise_terms)
         ]
 
     _write_json(out / "simulate.json", payload)
@@ -285,7 +261,7 @@ def cmd_simulate(args) -> int:
                 f"computed {m['computed']:+.6f} vs published {m['reference']:+.6f}"
                 + (" (same magnitude)" if m["magnitudes_agree"] else "")
             )
-    elif config.graph_name is not None:
+    elif published is not None:
         print("all noise terms match the published tables")
     print(f"wrote simulate.json to {out}")
     return 0
@@ -300,11 +276,8 @@ def cmd_criteria(args) -> int:
     gains = _resolve_gains(args, config, criteria, state)
     report = full_inseparability_report(criteria, state, gains)
 
-    measured = None
-    if config.graph_name == "linear8":
-        measured = reference.MEASURED_LHS_LINEAR
-    elif config.graph_name == "diamond8":
-        measured = reference.MEASURED_LHS_DIAMOND
+    published = presets.PUBLISHED.get(config.graph_name)
+    measured = published.measured_lhs if published is not None else None
 
     print(f"graph {label}: inseparability criteria")
     header = f"{'id':>4} {'lhs':>9} {'bound':>7} {'ok':>4} {'V(u) dB':>9} {'V(v) dB':>9}"
@@ -317,17 +290,8 @@ def cmd_criteria(args) -> int:
             f"{result.cid:>4} {result.lhs:>9.4f} {result.bound:>7.3f} "
             f"{'yes' if result.satisfied else 'NO':>4} {result.u_db:>9.3f} {result.v_db:>9.3f}"
         )
-        row = {
-            "id": result.cid,
-            "lhs": result.lhs,
-            "bound": result.bound,
-            "satisfied": result.satisfied,
-            "u_variance": result.u_variance,
-            "v_variance": result.v_variance,
-            "u_db": result.u_db,
-            "v_db": result.v_db,
-            "gains": result.gains,
-        }
+        row = asdict(result)
+        row["id"] = row.pop("cid")
         if measured:
             line += f" {measured[i]:>9.2f}"
             row["measured_lhs"] = measured[i]
@@ -354,14 +318,12 @@ def cmd_sweep(args) -> int:
     r_min, r_max, steps = config.sweep
     grid = np.linspace(r_min, r_max, steps)
 
-    terms = squeezing_terms(
-        config.build_unitary(), config.pattern.orientations, config.simulation_loss()
-    )
+    terms = squeezing_terms(config.build_unitary(), config.pattern.orientations, config.loss)
     # table[criterion, column, grid point], columns lhs_unit, lhs_optimal, bound.
     table = np.array(
         [
             [lhs_curve(c, terms, grid, "unit"), lhs_curve(c, terms, grid, "optimal")]
-            + [np.full(steps, vlf_bound(c, unit_gains(c)))]
+            + [np.full(steps, vlf_bound(c))]
             for c in criteria
         ]
     ).reshape(len(criteria), 3, steps)
@@ -517,6 +479,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # The nearest existing path of --out must be a directory, or the
+        # command would fail only when it writes, after all its work.
+        out = Path(args.out)
+        found = next(path for path in (out, *out.parents) if path.exists())
+        if not found.is_dir():
+            raise ConfigError(f"--out {args.out}: {found} is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

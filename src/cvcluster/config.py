@@ -41,9 +41,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Validated experiment description.
 
-    ``effective_r`` and ``loss`` are mutually exclusive; ``pattern`` always
-    holds the nominal squeezing, and :meth:`simulation_pattern` applies the
-    effective-r substitution when active.
+    ``effective_r`` and ``loss`` are mutually exclusive, so ``loss`` is the
+    channel actually simulated; ``pattern`` always holds the nominal
+    squeezing, and :meth:`simulation_pattern` applies the effective-r
+    substitution when active.
     """
 
     graph: graphs.Graph
@@ -59,9 +60,6 @@ class ExperimentConfig:
         if self.effective_r is not None:
             return self.pattern.with_r(self.effective_r)
         return self.pattern
-
-    def simulation_loss(self) -> LossModel | None:
-        return None if self.effective_r is not None else self.loss
 
     @property
     def x_squeezed_inputs(self) -> tuple[int, ...]:
@@ -82,7 +80,7 @@ class ExperimentConfig:
 
     def build_state(self) -> GaussianState:
         return presets.cluster_state(
-            self.build_unitary(), self.simulation_pattern(), loss=self.simulation_loss()
+            self.build_unitary(), self.simulation_pattern(), loss=self.loss
         )
 
     def criteria(self) -> list[Criterion]:
@@ -144,12 +142,12 @@ def _parse_pattern(raw, n: int) -> SqueezePattern:
     orientations = raw.get("orientations")
     if orientations is None:
         orientations = SqueezePattern.alternating(n, 0.0).orientations
-    else:
-        orientations = tuple(orientations)
+    elif not isinstance(orientations, (list, tuple)):
+        raise ConfigError(f"squeeze.orientations must be a list, got {orientations!r}")
     if len(orientations) != n:
         raise ConfigError(f"need {n} orientations, got {len(orientations)}")
     try:
-        return SqueezePattern(orientations=orientations, rs=rs)
+        return SqueezePattern(orientations=tuple(orientations), rs=rs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -232,18 +230,14 @@ def parse_config(raw: Mapping) -> ExperimentConfig:
 def load_config(source: str | Path) -> ExperimentConfig:
     """Load a config from a JSON file path or a builtin config name."""
     path = Path(source)
-    if path.is_file():
-        text = path.read_text()
-    elif str(source) in BUILTIN_CONFIGS:
-        text = (
-            resources.files("cvcluster").joinpath(f"configs/{source}.json").read_text()
-        )
-    else:
-        raise ConfigError(
-            f"{source!r} is neither a readable file nor one of {BUILTIN_CONFIGS}"
-        )
+    if not path.is_file():
+        if str(source) not in BUILTIN_CONFIGS:
+            raise ConfigError(
+                f"{source!r} is neither a readable file nor one of {BUILTIN_CONFIGS}"
+            )
+        path = resources.files("cvcluster").joinpath(f"configs/{source}.json")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise ConfigError(f"malformed JSON in {source}: {exc}") from exc
     return parse_config(raw)

@@ -170,14 +170,16 @@ def unit_gains(criteria: Iterable[Criterion] | Criterion) -> dict[str, float]:
     return {name: 1.0 for c in criteria for name in c.gain_names}
 
 
-def vlf_bound(criterion: Criterion, gains: GainSet) -> float:
+def vlf_bound(criterion: Criterion) -> float:
     """Separability bound for the criterion's bipartition (a, b).
 
     Each mode contributes the symplectic product u_x v_p - u_p v_x of its
     coefficients, and on a nullifier pair only a and b contribute, so the
     bound is (|u_p[a] v_x[a]| + |u_x[b] v_p[b]|) / 2: exactly 1 for nullifiers.
+    No gain slot scales those four coefficients (the criterion checks this
+    when built), so the bound reads them off the ungained sides c(0).
     """
-    (u_x, u_p), (v_x, v_p) = criterion.sides(gains).reshape(2, 2, criterion.n)
+    (u_x, u_p), (v_x, v_p) = criterion.affine_form[0].reshape(2, 2, criterion.n)
     a, b = criterion.bipartition
     return float(0.5 * (abs(u_p[a - 1] * v_x[a - 1]) + abs(u_x[b - 1] * v_p[b - 1])))
 
@@ -188,7 +190,7 @@ def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> Crit
     u_var, v_var = quadrature_variance(state, sides).tolist()
     u_vec, v_vec = sides
     lhs = u_var + v_var
-    bound = vlf_bound(criterion, gains)
+    bound = vlf_bound(criterion)
     return CriterionResult(
         cid=criterion.cid,
         lhs=lhs,
@@ -286,10 +288,10 @@ def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit"
     satisfied on the whole grid and inf when it is satisfied nowhere on it,
     as under heavy loss.  Only the first crossing is reported: with per-mode
     efficiencies the optimal-gain curve starts exactly at the bound, so
-    ``sweep`` writes 3.8e-7 and a later failure goes unreported.  A nullifier
-    pair's bound does not depend on the gains, so it is taken once.
+    ``sweep`` writes 3.8e-7 and a later failure goes unreported.  The bound
+    is :func:`vlf_bound`, which does not depend on the gains.
     """
-    bound = vlf_bound(criterion, unit_gains(criterion))
+    bound = vlf_bound(criterion)
     grid = np.linspace(0.0, 3.0, 61)
     lhs = lhs_curve(criterion, terms, grid[1:], gain_mode)
     if np.all(lhs < bound):

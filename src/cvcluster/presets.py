@@ -1,19 +1,24 @@
-"""Wiring and published labels of the two benchmark eight-mode experiments.
+"""Wiring and published tables of the two benchmark eight-mode experiments.
 
 Both networks take amplitude-squeezed inputs on modes 1, 3, 5, 7 and
 phase-squeezed inputs on modes 2, 4, 6, 8.  The chain network comes out of
 the Gram pipeline with the published pivot signs; the two-diamond network is
 the chain network followed by local output phases.  ``cluster_state``, the
 state builder of :mod:`cvcluster.gaussian`, is bound here for their callers.
+
+``PUBLISHED`` holds each builtin graph with the labels of its inequalities,
+its printed noise-term table and its measured variance sums; every use of a
+builtin's tables looks it up there by name.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from . import graphs
+from . import graphs, reference
 from .gaussian import SqueezePattern, cluster_state, combination_vector
 from .criteria import Criterion, graph_criteria
 from .network import compile_cluster_unitary, diamond_from_linear
@@ -21,7 +26,8 @@ from .network import compile_cluster_unitary, diamond_from_linear
 __all__ = [
     "X_SQUEEZED_INPUTS",
     "CHAIN8_PIVOT_SIGNS",
-    "PUBLISHED_LABELS",
+    "PublishedExperiment",
+    "PUBLISHED",
     "builtin_network",
     "chain8_unitary",
     "diamond8_unitary",
@@ -40,9 +46,21 @@ X_SQUEEZED_INPUTS = (1, 3, 5, 7)
 # state.
 CHAIN8_PIVOT_SIGNS = (1, 1, -1, 1, 1, -1, 1, -1)
 
-# Published labels of the benchmark inequalities, the arguments of
-# criteria.graph_criteria: criterion ids in published order with their edges,
-# slot names keyed by (m, j) for x_j in the nullifier of m, and 4e's tied gain.
+
+class PublishedExperiment(NamedTuple):
+    """A builtin graph, its published labels and its tables from :mod:`.reference`.
+
+    ``labels`` are the arguments of :func:`.criteria.graph_criteria`: criterion
+    ids in published order with their edges, slot names keyed by (m, j) for
+    x_j in the nullifier of m, and 4e's tied gain.
+    """
+
+    graph: graphs.Graph
+    labels: dict
+    noise_terms: dict
+    measured_lhs: tuple[float, ...]
+
+
 _DIAMOND8_SLOTS = {
     "g_D1": ((1, 4), (2, 4), (7, 5), (8, 5)),
     "g_D2": ((3, 1), (3, 2), (6, 7), (6, 8)),
@@ -51,15 +69,27 @@ _DIAMOND8_SLOTS = {
     "g_D5": ((4, 5), (5, 4)),
 }
 _DIAMOND8_EDGES = ((1, 3), (2, 3), (1, 4), (2, 4), (4, 5), (5, 7), (5, 8), (6, 7), (6, 8))
-PUBLISHED_LABELS = {
-    "linear8": dict(
-        order={f"3{c}": (a, a + 1) for a, c in zip(range(1, 8), "abcdefg")},
-        slot_names={(m, j): f"g_L{j}" for a in range(1, 8) for m, j in ((a, a + 1), (a + 1, a))},
+PUBLISHED = {
+    "linear8": PublishedExperiment(
+        graph=graphs.linear_chain(8),
+        labels=dict(
+            order={f"3{c}": (a, a + 1) for a, c in zip(range(1, 8), "abcdefg")},
+            slot_names={
+                (m, j): f"g_L{j}" for a in range(1, 8) for m, j in ((a, a + 1), (a + 1, a))
+            },
+        ),
+        noise_terms=reference.REFERENCE_NOISE_TERMS_LINEAR,
+        measured_lhs=reference.MEASURED_LHS_LINEAR,
     ),
-    "diamond8": dict(
-        order={f"4{c}": edge for c, edge in zip("abcdefghi", _DIAMOND8_EDGES)},
-        slot_names={mj: name for name, pairs in _DIAMOND8_SLOTS.items() for mj in pairs},
-        ties={"4e": "g_D6"},
+    "diamond8": PublishedExperiment(
+        graph=graphs.two_diamond(),
+        labels=dict(
+            order={f"4{c}": edge for c, edge in zip("abcdefghi", _DIAMOND8_EDGES)},
+            slot_names={mj: name for name, pairs in _DIAMOND8_SLOTS.items() for mj in pairs},
+            ties={"4e": "g_D6"},
+        ),
+        noise_terms=reference.REFERENCE_NOISE_TERMS_DIAMOND,
+        measured_lhs=reference.MEASURED_LHS_DIAMOND,
     ),
 }
 
@@ -100,16 +130,14 @@ def experiment_pattern(r: float, n: int = 8) -> SqueezePattern:
 
 
 def builtin_graph(name: str) -> graphs.Graph:
-    if name == "linear8":
-        return graphs.linear_chain(8)
-    if name == "diamond8":
-        return graphs.two_diamond()
-    raise ValueError(f"unknown builtin graph {name!r}")
+    if name not in PUBLISHED:
+        raise ValueError(f"unknown builtin graph {name!r}")
+    return PUBLISHED[name].graph
 
 
 def builtin_criteria(name: str) -> list[Criterion]:
     """The published inequalities of a builtin graph, under their published labels."""
-    return graph_criteria(builtin_graph(name), **PUBLISHED_LABELS[name])
+    return graph_criteria(builtin_graph(name), **PUBLISHED[name].labels)
 
 
 def nullifier_vectors(graph: graphs.Graph) -> list[np.ndarray]:

@@ -242,3 +242,54 @@ SAMPLE_SHA256 = {
     ("diamond8_physical", "--n", "200000", "--seed", "7", "--gains", "optimal"):
         "9b47cc11259b7a42c77da12c8bdc2bafe21de0265a3c3e8305d2132f984161dd",
 }
+
+# sha256 of criteria.json for each builtin with its config's gains, --gains
+# unit and --gains optimal, taken before the criteria rows were written from
+# their records and the bound was read off the ungained coefficients.
+CRITERIA_SHA256 = {
+    ('linear8',):
+        "0d35a0b8916f0ad52efcbc4886307b0c6333fe4f79be50af78ec5777ed4dea6e",
+    ('linear8', '--gains', 'unit'):
+        "0d35a0b8916f0ad52efcbc4886307b0c6333fe4f79be50af78ec5777ed4dea6e",
+    ('linear8', '--gains', 'optimal'):
+        "5984ed26d3835821f5822c77f37a020e18548c255f4d677e17bf25b047d2ef8e",
+    ('diamond8',):
+        "dc27ce8563a56969a18197c0d8105495fbf92a618eb6776f583e23fd88afcf97",
+    ('diamond8', '--gains', 'unit'):
+        "9f74c80679e33a7e31440932a1349ae4e8a085a700a2f179ee865e4412ab5b18",
+    ('diamond8', '--gains', 'optimal'):
+        "beaa9b8bd7c4c0130b8140308643ae72edacc75519603e70c654da465343f855",
+    ('linear8_physical',):
+        "9097b9b9ee111b12e571e3fbe05f9e5de3f1d9aea9eaebd4622edefe3f4c8cff",
+    ('linear8_physical', '--gains', 'unit'):
+        "9097b9b9ee111b12e571e3fbe05f9e5de3f1d9aea9eaebd4622edefe3f4c8cff",
+    ('linear8_physical', '--gains', 'optimal'):
+        "72b330317b7b0c42994f7625f81945ce8212ce49f7065a7777589bc88dddefd5",
+    ('diamond8_physical',):
+        "78c1439af87353466fa4fe8001f0bbaa0df61fa95b611da4ec0e669c24eaf4b3",
+    ('diamond8_physical', '--gains', 'unit'):
+        "b04a070e02902b4caa55d763bcbd317b5046ef8dc0aa42dd07ec455ced306915",
+    ('diamond8_physical', '--gains', 'optimal'):
+        "3c5981bcd3e9e169e1fbab1e6bfcc949118f7580344c81bb3e31be109b83c33a",
+}
+
+# sha256 of the files `cvcluster sweep` writes for each builtin, taken at the
+# same commit as CRITERIA_SHA256.
+SWEEP_SHA256 = {
+    "linear8": {
+        "sweep.csv": "a5dc452213e1f80c5d346b866fe657740f101d5e1963e1c439a4c3735e95576a",
+        "thresholds.json": "b3c23a9766960099c0eabb0fe0dc9b0c76350ece8e2d53851890046f8496f6ef",
+    },
+    "diamond8": {
+        "sweep.csv": "e5026e2e03fbeae55ab7441bd428671401b7c29c2fa7b023c1fa45fc2bb84d6a",
+        "thresholds.json": "0b588865ef7bb553f91ef22050efabb59d7e4fb86129f916db21d35e2c9b9997",
+    },
+    "linear8_physical": {
+        "sweep.csv": "b5eec162afd6f64a62147090a99dce16caf5f3c24796e1067dec1f25794f66de",
+        "thresholds.json": "faa9d42ab06cb957bbe99dfc17425ea79310b25dcb7311c0029529a33823a4d7",
+    },
+    "diamond8_physical": {
+        "sweep.csv": "d2c1c9747a66511f76afbaa10a5c8ca4db1559cce95221c1c659df4b599773bc",
+        "thresholds.json": "224f8c2b85e9a1167fc618e19321084f26755e8f7a66d1526332a5036cd976d5",
+    },
+}

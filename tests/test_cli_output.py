@@ -16,7 +16,14 @@ from hypothesis.extra import numpy as hnp
 from cvcluster import network
 from cvcluster.cli import _write_json, main
 
-from expected import COMPILE_SHA256, CUSTOM64_CONFIG, SAMPLE_SHA256, SIMULATE_SHA256
+from expected import (
+    COMPILE_SHA256,
+    CRITERIA_SHA256,
+    CUSTOM64_CONFIG,
+    SAMPLE_SHA256,
+    SIMULATE_SHA256,
+    SWEEP_SHA256,
+)
 
 SPECIAL_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e300]
 
@@ -150,6 +157,19 @@ def test_simulate_bytes_are_pinned(config, tmp_path):
 def test_sample_bytes_are_pinned(case, tmp_path):
     config, *extra = case
     assert run_pinned("sample", config, tmp_path, *extra) == {"sample.json": SAMPLE_SHA256[case]}
+
+
+@pytest.mark.parametrize("case", sorted(CRITERIA_SHA256), ids=" ".join)
+def test_criteria_bytes_are_pinned(case, tmp_path):
+    config, *extra = case
+    assert run_pinned("criteria", config, tmp_path, *extra) == {
+        "criteria.json": CRITERIA_SHA256[case]
+    }
+
+
+@pytest.mark.parametrize("config", sorted(SWEEP_SHA256))
+def test_sweep_bytes_are_pinned(config, tmp_path):
+    assert run_pinned("sweep", config, tmp_path) == SWEEP_SHA256[config]
 
 
 def test_reference_term_mismatches_are_unchanged(tmp_path):

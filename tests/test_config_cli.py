@@ -39,13 +39,13 @@ class TestConfigParsing:
     def test_effective_r_shortcut(self):
         config = load_config("linear8")
         assert config.effective_r == 0.3
-        assert config.simulation_loss() is None
+        assert config.loss is None
         assert config.simulation_pattern().rs == (0.3,) * 8
 
     def test_physical_variant_keeps_loss(self):
         config = load_config("linear8_physical")
         assert config.effective_r is None
-        assert config.simulation_loss() is not None
+        assert config.loss is not None
         assert config.simulation_pattern().rs == (0.5,) * 8
 
     def test_explicit_graph(self):
@@ -635,3 +635,31 @@ def test_equivalent_pure_r_is_reported_per_mode(tmp_path):
     assert payload["equivalent_pure_r"] == pytest.approx(expected, abs=1e-12)
     assert payload["equivalent_pure_r"][0] == pytest.approx(0.4588, abs=5e-5)
     assert payload["equivalent_pure_r"][7] == pytest.approx(0.2384, abs=5e-5)
+
+
+def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(json.dumps(base_config()).encode().replace(b"linear8", b"linear8\xff"))
+    with pytest.raises(ConfigError, match="utf-8"):
+        load_config(bad)
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("graph", ["linear8", {"n": 8, "edges": [[1, 2], [2, 3]]}])
+def test_orientations_must_be_a_list(graph):
+    # A string used to be read one character at a time.
+    with pytest.raises(ConfigError, match="orientations must be a list"):
+        parse_config(base_config(graph=graph, squeeze={"r": 0.5, "orientations": "xpxpxpxp"}))
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate", "criteria", "sweep", "sample"])
+def test_out_that_is_not_a_directory_exit_code(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "sub"):
+        assert main([command, "--config", "linear8", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not a directory" in captured.err
+    assert taken.read_text() == "keep"

@@ -169,28 +169,27 @@ def test_sides_match_termwise_sum(case, data):
 class TestBound:
     def test_unit_gain_bound_is_one_for_all(self):
         for c in BUILTIN:
-            assert vlf_bound(c, unit_gains(c)) == pytest.approx(1.0, abs=1e-12)
+            assert vlf_bound(c) == pytest.approx(1.0, abs=1e-12)
 
     @given(case=criteria_sets(), data=st.data())
     def test_bound_is_one_under_any_gains(self, case, data):
-        # threshold_r takes the bound at unit gains; this holds because no gain
-        # slot scales a term that enters a symplectic product.
+        # vlf_bound reads the ungained coefficients; this holds because no
+        # gain slot scales a term that enters a symplectic product.
         criteria, terms = case
         gains = data.draw(
             st.fixed_dictionaries({name: st.floats(-5.0, 5.0) for name in unit_gains(criteria)})
         )
+        state = vacuum_state(len(terms[0]) // 2)
         for c in criteria:
-            assert vlf_bound(c, gains) == 1.0, c.cid
+            assert evaluate(c, state, gains).bound == vlf_bound(c) == 1.0, c.cid
             threshold_r(c, terms, "optimal")
 
     def test_3a_bound_with_scaled_gain(self):
         c = LINEAR[0]
-        assert vlf_bound(c, {"g_L3": 0.5}) == pytest.approx(1.0, abs=1e-14)
+        assert evaluate(c, linear_state(0.3), {"g_L3": 0.5}).bound == pytest.approx(1.0, abs=1e-14)
 
     def test_missing_gain_rejected(self):
         c = LINEAR[0]
-        with pytest.raises(ValueError):
-            vlf_bound(c, {})
         with pytest.raises(ValueError):
             evaluate(c, linear_state(0.3), {})
 
@@ -458,7 +457,7 @@ def test_thresholds_match_closed_form(label):
     if "eta" in spec:
         raw["loss"] = {"eta": spec["eta"]}
     config = parse_config(raw)
-    unitary, loss = config.build_unitary(), config.simulation_loss()
+    unitary, loss = config.build_unitary(), config.loss
     terms = squeezing_terms(unitary, config.pattern.orientations, loss)
     for c in config.criteria():
         expected = closed_form_threshold(c, unitary, loss)

@@ -352,7 +352,7 @@ class TestSqueezingTerms:
         loss = {"effective_r": r} if etas is None else {"eta": etas}
         config = parse_config({"graph": name, "squeeze": {"r": r}, "loss": loss})
         terms = squeezing_terms(
-            config.build_unitary(), config.pattern.orientations, config.simulation_loss()
+            config.build_unitary(), config.pattern.orientations, config.loss
         )
         cov = config.build_state().cov
         assert np.max(np.abs(expanded_covariance(terms, r) - cov)) <= 1e-12 * np.max(np.abs(cov))
