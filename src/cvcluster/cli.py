@@ -8,6 +8,9 @@ Subcommands::
     sweep      lhs-versus-r table (CSV) plus a squeezing-threshold summary
     sample     Monte Carlo variance estimates with z-scores against the model
 
+:func:`main` loads and checks the config once, ``gains`` section included,
+and hands it to the command, so no command loads it again.
+
 Exit codes: 0 on success, 2 for configuration or usage errors, 1 for
 unexpected internal failures.  All structured output is JSON (complex numbers
 as [re, im] pairs, matrices as row-major nested arrays) or CSV with the fixed
@@ -142,9 +145,7 @@ def _graph_label(config: ExperimentConfig) -> str:
     return config.graph_name or f"custom-{config.graph.n}"
 
 
-def cmd_compile(args) -> int:
-    config = load_config(args.config)
-    out = Path(args.out)
+def cmd_compile(args, config: ExperimentConfig, out: Path) -> int:
     label = _graph_label(config)
 
     factor, unitary = config.build_network()
@@ -193,9 +194,7 @@ def _effective_note(config: ExperimentConfig) -> str | None:
     return _EFFECTIVE_NOTE.format(eff=config.effective_r, nom=max(config.pattern.rs))
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    out = Path(args.out)
+def cmd_simulate(args, config: ExperimentConfig, out: Path) -> int:
     label = _graph_label(config)
     unitary = config.build_unitary()
     pattern = config.simulation_pattern()
@@ -267,9 +266,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_criteria(args) -> int:
-    config = load_config(args.config)
-    out = Path(args.out)
+def cmd_criteria(args, config: ExperimentConfig, out: Path) -> int:
     label = _graph_label(config)
     state = config.build_state()
     criteria = config.criteria()
@@ -308,11 +305,9 @@ def cmd_criteria(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = load_config(args.config)
+def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
     if config.sweep is None:
         raise ConfigError("config has no sweep section")
-    out = Path(args.out)
     label = _graph_label(config)
     criteria = config.criteria()
     r_min, r_max, steps = config.sweep
@@ -372,15 +367,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    config = load_config(args.config)
+def cmd_sample(args, config: ExperimentConfig, out: Path) -> int:
     if args.n < 2:
         raise ConfigError("sampling needs --n of at least 2 for a variance estimate")
     if args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
     if config.graph_name is None and args.gains is not None:
         raise ConfigError("sample on a custom graph writes nullifier checks only; drop --gains")
-    out = Path(args.out)
     label = _graph_label(config)
     state = config.build_state()
 
@@ -394,9 +387,6 @@ def cmd_sample(args) -> int:
         gains = _resolve_gains(args, config, criteria, state)
         for c in criteria:
             named += zip((f"{c.cid}_u", f"{c.cid}_v"), c.sides(gains[c.cid]))
-    elif isinstance(config.gains_spec, dict):
-        # Nullifier checks take no gains, but an unknown slot is still a config error.
-        _resolve_gains(args, config, config.criteria(), state)
     names, vectors = zip(*named)
     vectors = np.array(vectors)
     est = estimate_variances(state, vectors, args.n, args.seed)
@@ -485,7 +475,7 @@ def main(argv=None) -> int:
         found = next(path for path in (out, *out.parents) if path.exists())
         if not found.is_dir():
             raise ConfigError(f"--out {args.out}: {found} is not a directory")
-        return args.func(args)
+        return args.func(args, load_config(args.config), out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from . import graphs, presets
-from .criteria import Criterion, graph_criteria
+from .criteria import Criterion, graph_criteria, resolve_gains
 from .gaussian import GaussianState, LossModel, SqueezePattern
 from .network import compile_cluster_unitary
 
@@ -197,7 +197,11 @@ def _parse_sweep(raw) -> tuple[float, float, int] | None:
 
 
 def parse_config(raw: Mapping) -> ExperimentConfig:
-    """Validate a decoded JSON object into an :class:`ExperimentConfig`."""
+    """Validate a decoded JSON object into an :class:`ExperimentConfig`.
+
+    Each section is checked here, once for every command: a ``gains`` mapping
+    may name only slots of the graph's criteria, which only a mapping builds.
+    """
     if not isinstance(raw, Mapping):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - {"graph", "squeeze", "loss", "gains", "sweep"}
@@ -216,7 +220,7 @@ def parse_config(raw: Mapping) -> ExperimentConfig:
     loss, effective_r = _parse_loss(raw["loss"], graph.n)
     gains_spec = _parse_gains(raw.get("gains"))
     sweep = _parse_sweep(raw.get("sweep"))
-    return ExperimentConfig(
+    config = ExperimentConfig(
         graph=graph,
         graph_name=name,
         pattern=pattern,
@@ -225,6 +229,12 @@ def parse_config(raw: Mapping) -> ExperimentConfig:
         gains_spec=gains_spec,
         sweep=sweep,
     )
+    if isinstance(gains_spec, Mapping):
+        try:
+            resolve_gains(config.criteria(), gains_spec)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return config
 
 
 def load_config(source: str | Path) -> ExperimentConfig:

@@ -15,6 +15,7 @@ functions are pure numpy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +86,7 @@ def _outward_rows(n: int) -> list[int]:
     remaining rows follow in order.
     """
     mid = (n + 1) // 2  # 1-based label of the middle row
-    order = [mid]
-    step = 1
-    while len(order) < n:
-        for candidate in (mid + step, mid - step):
-            if 1 <= candidate <= n and len(order) < n:
-                order.append(candidate)
-        step += 1
-    return [r - 1 for r in order]
+    return [r - 1 for r in sorted(range(1, n + 1), key=lambda r: (abs(r - mid), r < mid))]
 
 
 def gram_factor_sequential(m: np.ndarray, pivot_signs=None) -> np.ndarray:
@@ -265,10 +259,8 @@ def compose_sequence(sequence, n: int) -> np.ndarray:
     element is the leftmost factor, so the last listed element acts on the
     input modes first.
     """
-    u = np.eye(n, dtype=complex)
-    for element in sequence:
-        u = u @ element_matrix(element, n)
-    return u
+    matrices = (element_matrix(element, n) for element in sequence)
+    return functools.reduce(np.matmul, matrices, np.eye(n, dtype=complex))
 
 
 def compile_cluster_unitary(

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import graphs, reference
-from .gaussian import SqueezePattern, cluster_state, combination_vector
+from .gaussian import SqueezePattern, cluster_state
 from .criteria import Criterion, graph_criteria
 from .network import compile_cluster_unitary, diamond_from_linear
 
@@ -141,5 +141,10 @@ def builtin_criteria(name: str) -> list[Criterion]:
 
 
 def nullifier_vectors(graph: graphs.Graph) -> list[np.ndarray]:
-    """Output-quadrature coefficient vectors of the graph's nullifiers."""
-    return [combination_vector(graph.n, nf.terms()) for nf in graphs.nullifiers(graph)]
+    """Output-quadrature coefficient vectors of the graph's nullifiers.
+
+    Row m of [-A | I], with A the adjacency matrix, is p_m - sum_{N(m)} x_j;
+    ``0.0 - A`` keeps zeros +0.0, as :func:`.gaussian.combination_vector` does.
+    """
+    a = graphs.adjacency(graph)
+    return list(np.hstack([0.0 - a, np.eye(graph.n)]))

@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gaussian import GaussianState, qnl_variance
+from .gaussian import GaussianState, qnl_variance, variance_db
 
 __all__ = [
     "BLOCK_VALUES",
@@ -184,7 +184,4 @@ def _merge(left, right):
 def estimate_db(batch: SampleBatch, coeffs: np.ndarray) -> float:
     """Estimated noise power relative to the vacuum reference, in dB."""
     estimate = estimate_variance(batch, coeffs).estimate
-    qnl = qnl_variance(coeffs)
-    if estimate <= 0 or qnl <= 0:
-        raise ValueError("dB estimate needs positive variance and reference")
-    return float(10.0 * np.log10(estimate / qnl))
+    return float(variance_db(estimate, qnl_variance(coeffs)))

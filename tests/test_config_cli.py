@@ -293,9 +293,16 @@ class TestCriteriaCommand:
         for command in ("criteria", "sample"):
             argv = [command, "--config", "linear8", "--out", str(tmp_path)]
             assert main(argv + ["--gains", str(gains_file)]) == 2
+        capsys.readouterr()
+        # A config's own gains section is checked at load: every command
+        # rejects it, and --gains does not hide it.
         config = tmp_path / "typo.json"
         config.write_text(json.dumps(base_config(gains={"g_L33": 0.5})))
-        assert main(["criteria", "--config", str(config), "--out", str(tmp_path)]) == 2
+        argv = ["--config", str(config), "--out", str(tmp_path)]
+        for command in ("compile", "simulate", "criteria", "sweep", "sample"):
+            assert main([command] + argv) == 2, command
+            assert "unknown gain slots ['g_L33']" in capsys.readouterr().err, command
+        assert main(["criteria"] + argv + ["--gains", "unit"]) == 2
         assert "unknown gain slots ['g_L33']" in capsys.readouterr().err
 
     def test_bad_gains_flag(self, tmp_path):

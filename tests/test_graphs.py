@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cvcluster import graphs
+from cvcluster import graphs, presets
+from cvcluster.gaussian import combination_vector
 
 from expected import CHAIN8_NEIGHBOURS, DIAMOND8_NEIGHBOURS
 
@@ -127,3 +130,22 @@ def test_published_nullifier_lists():
     ):
         for nf in graphs.nullifiers(g):
             assert set(nf.x_modes) == table[nf.mode]
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return graphs.Graph.from_edges(n, edges)
+
+
+@given(graph=random_graphs())
+def test_nullifier_vectors_match_the_term_route(graph):
+    # [-A | I] row by row, bit for bit: the zeros of both routes are +0.0.
+    vectors = np.array(presets.nullifier_vectors(graph))
+    expected = np.array(
+        [combination_vector(graph.n, nf.terms()) for nf in graphs.nullifiers(graph)]
+    )
+    assert np.array_equal(vectors, expected)
+    assert np.array_equal(np.signbit(vectors), np.signbit(expected))

@@ -61,6 +61,20 @@ class TestInverseGram:
             assert np.min(np.linalg.eigvalsh(m)) > 0
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+def test_outward_rows_contract(n):
+    rows = network._outward_rows(n)
+    assert sorted(rows) == list(range(n))
+    start = (n + 1) // 2 - 1  # row ceil(n/2), 0-based
+    assert rows[0] == start
+    distances = [abs(r - start) for r in rows]
+    assert distances == sorted(distances)
+    # At each distance the upper row, start + d, comes before start - d.
+    for d in range(1, max(distances) + 1):
+        pair = [r for r in rows if abs(r - start) == d]
+        assert pair == sorted(pair, reverse=True)
+
+
 class TestGramFactorSequential:
     def test_chain8_pivot_entry(self):
         # The assembled pipeline fixes the pivot signs; the published
