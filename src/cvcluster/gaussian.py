@@ -81,7 +81,19 @@ class SqueezePattern:
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Zero-mean Gaussian state given by its 2n x 2n quadrature covariance."""
+    """Zero-mean Gaussian state given by its 2n x 2n quadrature covariance.
+
+    Every state is checked when built: the covariance must be finite and
+    symmetric, and must satisfy the uncertainty bound cov + (i/4) Omega >= 0
+    (Weedbrook et al., RMP 84, 621 (2012)) up to tol = 1e-10 max(1, max|cov|).
+    The bound is tested as the existence of a Cholesky factor of
+    M = cov + (i/4) Omega + tol I, which exists exactly when every eigenvalue
+    of cov + (i/4) Omega is above -tol: one factorisation, not a full
+    eigendecomposition.  It is taken by blocks, reading the lower triangle
+    of M as a full factorisation would: L_xx = chol(C_xx + tol I), then
+    W = L_xx^{-1} (C_px^T + i/4 I) and chol(C_pp + tol I - W^H W), the Schur
+    complement of the x-x block.  So no 2n x 2n complex matrix is formed.
+    """
 
     cov: np.ndarray
 
@@ -90,15 +102,22 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
             raise ValueError(f"covariance must be 2n x 2n, got shape {cov.shape}")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance must be finite")
         # Rounding grows with the largest entry, so the tolerance of both
         # checks does too; states of order one keep the 1e-10 floor.
         tol = 1e-10 * max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > tol:
             raise ValueError("covariance must be symmetric")
-        # Uncertainty bound: cov + (i/4) Omega must be positive semidefinite.
-        bound = cov + 0.25j * omega(cov.shape[0] // 2)
-        if np.min(np.linalg.eigvalsh(bound)) < -tol:
-            raise ValueError("covariance violates the uncertainty bound")
+        # Uncertainty bound: a blocked Cholesky factorisation (class docstring).
+        n = cov.shape[0] // 2
+        eye = np.eye(n)
+        try:
+            low = np.linalg.cholesky(cov[:n, :n] + tol * eye)
+            w = np.linalg.solve(low, cov[n:, :n].T + 0.25j * eye)
+            np.linalg.cholesky(cov[n:, n:] + tol * eye - w.conj().T @ w)
+        except np.linalg.LinAlgError:
+            raise ValueError("covariance violates the uncertainty bound") from None
 
     @property
     def n(self) -> int:

@@ -194,6 +194,15 @@ CUSTOM64_CONFIG = {
     "loss": {"eta": 1.0},
 }
 
+# A 256-mode custom graph (mean degree 3, per-mode efficiencies in [0.5, 1]),
+# the largest size of the benchmark's random graphs, for the wide pins below.
+CUSTOM256_CONFIG = {
+    "graph": {"n": 256, "edges": lcg_edges(256, 384, seed=25)},
+    "squeeze": {"r": 0.8},
+    "loss": {"eta": [round(0.5 + 0.5 * ((37 * k) % 101) / 100, 4) for k in range(256)]},
+}
+CUSTOM_CONFIGS = {"custom64": CUSTOM64_CONFIG, "custom256": CUSTOM256_CONFIG}
+
 # sha256 of the files `cvcluster compile` wrote before its matrices went
 # through the array emitter (json.dump of nested lists, indent=2), taken with
 # numpy 2.4 and its bundled OpenBLAS on x86-64.  The matrices come from
@@ -212,6 +221,11 @@ COMPILE_SHA256 = {
         "gram_factor.json": "2be55ec5263811d04030599a75cf6b1b8b092a2e205640c66ef3d69dd35fecf4",
         "unitary.json": "60a166b580fdecd8248dc673491967dc8f7065665159bb639dd841adfe1520c6",
     },
+    # Taken before the array emitter wrote each array as one flat sequence.
+    "custom256": {
+        "gram_factor.json": "1641681b74aac96da1860a6f34b9b7229256b53159c284082f062b5d0ddc0341",
+        "unitary.json": "dfcfffdd5b8923d94fe34a6fe8df1e98fea4a93313cbd50e2dde45ec5ec41630",
+    },
 }
 COMPILE_SHA256["linear8_physical"] = COMPILE_SHA256["linear8"]
 COMPILE_SHA256["diamond8_physical"] = COMPILE_SHA256["diamond8"]
@@ -224,6 +238,8 @@ SIMULATE_SHA256 = {
     "linear8_physical": "497fc9b404eb7831d129b15e512fcd22420c8523a76943a9c13b15c2fd7373c4",
     "diamond8_physical": "ae454b59ffddfec5683350dd07ceb738f148a9daa234cf2a467785602ab0154f",
     "custom64": "22371b9a0b33cc7a4ec124d6d010db6c2b0dcf7c3eb81cccb84e76aa0004d00b",
+    # Taken before the noise-term rows went through the array emitter.
+    "custom256": "226e4dd9cf178129afc4979eef96ed3ee372acac2a831256cdca1ec02f0aa6f4",
 }
 
 # sha256 of sample.json for `sample --n 200000 --seed 1` on each builtin and

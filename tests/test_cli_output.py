@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cvcluster import network
-from cvcluster.cli import _write_json, main
+from cvcluster.cli import _NOISE_TERM, _write_json, main
 
 from expected import (
     COMPILE_SHA256,
     CRITERIA_SHA256,
-    CUSTOM64_CONFIG,
+    CUSTOM_CONFIGS,
     SAMPLE_SHA256,
     SIMULATE_SHA256,
     SWEEP_SHA256,
@@ -106,6 +107,42 @@ def test_non_finite_entries_are_spelled_as_json_spells_them():
     assert b"NaN" in text and b"-Infinity" in text
 
 
+row_tables = st.lists(
+    st.tuples(st.integers(-(2**62), 2**62), st.sampled_from(["x", "p", '"', "\\", "é"]), finite)
+    | st.just((3, "x", math.nan)),
+    max_size=5,
+).map(lambda rows: np.array(rows, dtype=_NOISE_TERM))
+
+
+@given(rows=row_tables, table=st.integers(0, 2), deep=arrays)
+def test_emitter_writes_structured_rows_as_json_dump(rows, table, deep):
+    # Structured arrays (simulate's noise-term rows) are lists of their rows,
+    # each row its fields in order: ints, json-escaped strings and floats.
+    payload = {"nullifiers": [{"squeezed_terms": rows, "mode": 1}] * table, "m": deep}
+    payload["rows"] = rows
+    assert written(payload) == json_bytes(payload)
+
+
+def test_structured_fields_must_be_numbers_or_strings():
+    for dtype in ([("ok", float), ("flag", bool)], [("pair", float, (2,))]):
+        with pytest.raises(TypeError):
+            written({"rows": np.zeros(2, dtype=dtype)})
+
+
+def test_emitter_peak_memory_is_a_few_times_the_file(tmp_path):
+    # The emitter holds each item's text and the separators it points to,
+    # never the whole file as one string.
+    path = tmp_path / "out.json"
+    payload = {"matrix": np.random.default_rng(1).standard_normal((256, 256, 2))}
+    tracemalloc.start()
+    try:
+        _write_json(path, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * path.stat().st_size
+
+
 @pytest.mark.parametrize("dtype", [complex, int, bool])
 def test_arrays_that_are_not_real_floats_are_rejected(dtype):
     with pytest.raises(TypeError):
@@ -123,10 +160,10 @@ def test_unserializable_objects_are_still_rejected():
 
 
 def run_pinned(command, config, tmp_path, *extra) -> dict[str, str]:
-    """sha256 of every file ``command ... *extra`` writes for a builtin config or custom64."""
-    if config == "custom64":
-        path = tmp_path / "custom64.json"
-        path.write_text(json.dumps(CUSTOM64_CONFIG))
+    """sha256 of every file ``command ... *extra`` writes for a builtin or custom config."""
+    if config in CUSTOM_CONFIGS:
+        path = tmp_path / f"{config}.json"
+        path.write_text(json.dumps(CUSTOM_CONFIGS[config]))
         config = str(path)
     out = tmp_path / "out"
     assert main([command, "--config", config, "--out", str(out), *extra]) == 0

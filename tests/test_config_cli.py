@@ -514,6 +514,26 @@ class TestSampleCommand:
         # With a known slot the same run reaches the draw.
         assert "drew samples" in err
 
+    def test_config_gains_are_not_read_on_a_custom_graph(self, tmp_path, capsys):
+        # On a custom graph sample writes nullifier checks only, so the
+        # config's gains section changes nothing it writes, and the help says so.
+        graph = {"n": 3, "edges": [[1, 2], [2, 3]]}
+        squeeze = {"r": 0.5, "orientations": ["x", "p", "x"]}
+        written = {}
+        for gains in ("unit", "optimal", {"g2_1": 0.5}):
+            name = gains if isinstance(gains, str) else "mapping"
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(base_config(graph=graph, squeeze=squeeze, gains=gains)))
+            out = tmp_path / name
+            assert main(["sample", "--config", str(config), "--out", str(out), "--n", "100"]) == 0
+            written[name] = (out / "sample.json").read_bytes()
+        assert written["optimal"] == written["mapping"] == written["unit"]
+        with pytest.raises(SystemExit):
+            main(["sample", "--help"])
+        assert "does not read the config's gains section" in " ".join(
+            capsys.readouterr().out.split()
+        )
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         argv = ["sample", "--config", "linear8", "--out", str(tmp_path), "--seed", "-1"]
         assert main(argv + ["--n", "10"]) == 2

@@ -395,10 +395,18 @@ def test_state_validation():
         GaussianState(cov=np.diag([0.01, 0.01]))  # beats the uncertainty bound
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariance_rejected(entry):
+    # A Cholesky factorisation does not flag every NaN, so finiteness is its own check.
+    for cov in (np.diag([entry, 0.25]), np.full((2, 2), entry)):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(cov=cov)
+
+
 def test_asymmetry_is_checked_against_the_covariance_scale():
     # A hidden relative tolerance of 1e-5 would let this 5e-6 asymmetry
-    # through; eigvalsh and the sampling Cholesky read one triangle, a
-    # variance both, so the two routes would disagree.
+    # through; the Cholesky factorisations of the uncertainty check and of
+    # sampling read one triangle, a variance both, so the routes would disagree.
     with pytest.raises(ValueError, match="symmetric"):
         GaussianState(cov=[[10.0, 1.0], [1.0 + 5e-6, 10.0]])
     GaussianState(cov=[[10.0, 1.0], [1.0 + 5e-10, 10.0]])  # within 1e-10 of the scale 10
@@ -418,3 +426,55 @@ def test_uncertainty_check_still_rejects_invalid_states():
         # Mode 1 has Var x Var p = 0.02 < 1/16; the minimum eigenvalue of
         # cov + (i/4) Omega is -4.25e-6 at a covariance scale of 1e4.
         GaussianState(cov=np.diag([1e4, 0.25, 2e-6, 0.25]))
+
+
+def eigvalsh_rejects(cov) -> bool:
+    """The eigendecomposition route: some eigenvalue of cov + (i/4) Omega below -tol."""
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(cov))))
+    bound = cov + 0.25j * omega(cov.shape[0] // 2)
+    return bool(np.min(np.linalg.eigvalsh(bound)) < -tol)
+
+
+def rejected(cov) -> bool:
+    try:
+        GaussianState(cov=cov)
+    except ValueError as exc:
+        assert "uncertainty bound" in str(exc)
+        return True
+    return False
+
+
+@given(case=cluster_networks(), data=st.data())
+def test_uncertainty_check_accepts_every_channel_built_state(case, data):
+    # Without loss the state is pure and the bound is tight: the smallest
+    # eigenvalue of cov + (i/4) Omega is 0, and only the tolerance separates
+    # it from a rejection, up to covariance entries of e^20 / 4 at r = 10.
+    u, orientations = case
+    n = len(orientations)
+    rs = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    etas = data.draw(st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    loss = None if etas is None else LossModel(tuple(etas))
+    state = presets.cluster_state(u, SqueezePattern(orientations, tuple(rs)), loss=loss)
+    assert not eigvalsh_rejects(state.cov)
+
+
+@given(
+    case=cluster_networks(),
+    r=st.floats(0.0, 3.0),
+    exponent=st.floats(0.0, 8.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_uncertainty_check_rejects_where_the_eigenvalues_do(case, r, exponent, sign):
+    # A channel-built covariance scaled to max|cov| = 10**exponent, then
+    # shifted along the identity so that the smallest eigenvalue of
+    # cov + (i/4) Omega is sign * 10 tol: the Cholesky check must reject
+    # exactly the negative side, as the eigendecomposition route does.
+    u, orientations = case
+    cov = presets.cluster_state(u, SqueezePattern(orientations, (r,) * len(orientations))).cov
+    cov = cov * (10.0**exponent / np.max(np.abs(cov)))
+    cov = (cov + cov.T) / 2.0
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(cov))))
+    lowest = np.min(np.linalg.eigvalsh(cov + 0.25j * omega(cov.shape[0] // 2)))
+    cov = cov + (sign * 10.0 * tol - lowest) * np.eye(cov.shape[0])
+    assert eigvalsh_rejects(cov) == (sign < 0)
+    assert rejected(cov) == (sign < 0)
