@@ -19,7 +19,7 @@ so repeated runs are byte-identical.
 
 Payloads carry matrices as real floating ``np.ndarray`` (a complex matrix as
 its real and imaginary parts stacked on a last axis of length 2) and
-simulate's noise-term rows as structured arrays of ``_NOISE_TERM`` rows.
+simulate's noise-term rows as structured arrays of ``gaussian.NOISE_TERM``.
 :func:`_write_json` writes those with one array emitter and everything else
 with ``json``; the bytes are those of ``json.dump(payload, indent=2,
 sort_keys=True)`` with every array in its ``tolist()`` form (NaN and
@@ -74,8 +74,6 @@ _ARRAY_TEXT = json.dumps(_ARRAY_MARK)
 _WRITE_RUN = 2**14
 # json's spelling of the floats it cannot write as repr.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# One noise term (mode, quadrature, coefficient) as a row of a structured array.
-_NOISE_TERM = np.dtype([("mode", np.int64), ("quadrature", "U1"), ("coefficient", float)])
 
 
 def _complex_pairs(matrix: np.ndarray) -> np.ndarray:
@@ -253,7 +251,7 @@ def cmd_simulate(args, config: ExperimentConfig, out: Path) -> int:
                 "qnl": qnl,
                 "ratio": variance / qnl,
                 "db": variance_db(variance, qnl),
-                "squeezed_terms": np.array(list(noise.squeezed), dtype=_NOISE_TERM),
+                "squeezed_terms": noise.squeezed,
                 "max_anti_coefficient": noise.max_anti_coefficient,
             }
         )

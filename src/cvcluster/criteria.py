@@ -185,21 +185,26 @@ def vlf_bound(criterion: Criterion) -> float:
 
 
 def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> CriterionResult:
-    """Variance sum, bound and verdict of one criterion on a state."""
+    """Variance sum, bound and verdict of one criterion on a state.
+
+    It holds only when ``bound - lhs`` exceeds the rounding bound of the two
+    variances, 4 (2n) eps sum |c|^T |cov| |c|: the vacuum lies on the bound.
+    """
     sides = criterion.sides(gains)
     u_var, v_var = quadrature_variance(state, sides).tolist()
-    u_vec, v_vec = sides
     lhs = u_var + v_var
     bound = vlf_bound(criterion)
+    mag = np.abs(sides)
+    rounding = 4 * len(state.cov) * np.finfo(float).eps * np.sum(mag @ np.abs(state.cov) * mag)
     return CriterionResult(
         cid=criterion.cid,
         lhs=lhs,
         bound=bound,
-        satisfied=bool(lhs < bound),
+        satisfied=bool(bound - lhs > rounding),
         u_variance=u_var,
         v_variance=v_var,
-        u_db=variance_db(u_var, qnl_variance(u_vec)),
-        v_db=variance_db(v_var, qnl_variance(v_vec)),
+        u_db=variance_db(u_var, qnl_variance(sides[0])),
+        v_db=variance_db(v_var, qnl_variance(sides[1])),
         gains={name: float(gains[name]) for name in criterion.gain_names},
     )
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +20,7 @@ __all__ = [
     "SqueezePattern",
     "GaussianState",
     "LossModel",
-    "ExcessNoiseTerm",
+    "NOISE_TERM",
     "NullifierNoise",
     "vacuum_state",
     "input_covariance",
@@ -292,26 +290,22 @@ def variance_db(v: float, qnl: float) -> float:
     return 10.0 * np.log10(v / qnl)
 
 
-class ExcessNoiseTerm(NamedTuple):
-    """Coefficient on one input quadrature, the (mode, quadrature, coefficient) triple."""
-
-    mode: int
-    quadrature: str
-    coefficient: float
+# One noise term (mode, quadrature, coefficient) as a row of a structured array.
+NOISE_TERM = np.dtype([("mode", np.int64), ("quadrature", "U1"), ("coefficient", float)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullifierNoise:
     """One output combination expressed in scaled input vacuum operators.
 
-    ``squeezed`` terms multiply exp(-r) factors, ``anti`` terms exp(+r); for a
-    correctly compiled cluster network the anti side vanishes.  ``variance``
-    is reconstructed from the full coefficient set and matches the covariance
-    route to better than 1e-10.
+    ``squeezed`` terms multiply exp(-r) factors, ``anti`` terms exp(+r), each
+    an array of :data:`NOISE_TERM` rows; for a correctly compiled cluster
+    network the anti side vanishes.  ``variance`` is reconstructed from the
+    full coefficient set and matches the covariance route to better than 1e-10.
     """
 
-    squeezed: tuple[ExcessNoiseTerm, ...]
-    anti: tuple[ExcessNoiseTerm, ...]
+    squeezed: np.ndarray
+    anti: np.ndarray
     variance: float
     max_anti_coefficient: float
 
@@ -326,8 +320,8 @@ def excess_noise_decomposition(
     input quadrature is a vacuum operator scaled by exp(-r) (the squeezed
     quadrature of its mode) or exp(+r) (the conjugate one).  All
     combinations are pulled back in one product: row i of C·S is Sᵀ c_i.
-    Every term above 1e-12 is then read off one mask over the pulled-back
-    matrix, each side's terms in mode order: x_1, p_1, x_2, p_2, ...
+    Every term above 1e-12 is then read off one mask into :data:`NOISE_TERM`
+    rows; each side is a slice of them, in mode order: x_1, p_1, x_2, p_2, ...
     """
     n = pattern.n
     squeezed = _squeezed_quadratures(pattern.orientations)
@@ -340,9 +334,11 @@ def excess_noise_decomposition(
     sides = np.stack([squeezed, ~squeezed]).reshape(2, 2, n).transpose(0, 2, 1)
     kept = (np.abs(by_mode) > 1e-12)[:, None] & sides
     row, _, mode, quad = np.nonzero(kept)
-    labels = np.array(["x", "p"])[quad].tolist()
-    terms = map(ExcessNoiseTerm, (mode + 1).tolist(), labels, by_mode[row, mode, quad].tolist())
-    groups = [tuple(islice(terms, count)) for count in kept.sum(axis=(2, 3)).ravel().tolist()]
+    terms = np.empty(row.size, dtype=NOISE_TERM)
+    terms["mode"] = mode + 1
+    terms["quadrature"] = np.array(["x", "p"])[quad]
+    terms["coefficient"] = by_mode[row, mode, quad]
+    groups = np.split(terms, np.cumsum(kept.sum(axis=(2, 3)).ravel())[:-1])
     return list(
         map(NullifierNoise, groups[0::2], groups[1::2], variances.tolist(), max_anti.tolist())
     )

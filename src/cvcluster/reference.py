@@ -125,7 +125,7 @@ def compare_noise_terms(
     """
     mismatches = []
     for mode, noise in enumerate(decompositions, start=1):
-        computed = {(m, q): coeff for m, q, coeff in noise.squeezed}
+        computed = {(m, q): coeff for m, q, coeff in noise.squeezed.tolist()}
         printed = {(m, q): coeff for m, q, coeff in reference[mode]}
         for key in sorted(set(computed) | set(printed)):
             got = computed.get(key, 0.0)

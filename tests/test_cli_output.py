@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cvcluster import network
-from cvcluster.cli import _NOISE_TERM, _write_json, main
+from cvcluster.cli import _write_json, main
+from cvcluster.gaussian import NOISE_TERM
 
 from expected import (
     COMPILE_SHA256,
@@ -111,7 +112,7 @@ row_tables = st.lists(
     st.tuples(st.integers(-(2**62), 2**62), st.sampled_from(["x", "p", '"', "\\", "é"]), finite)
     | st.just((3, "x", math.nan)),
     max_size=5,
-).map(lambda rows: np.array(rows, dtype=_NOISE_TERM))
+).map(lambda rows: np.array(rows, dtype=NOISE_TERM))
 
 
 @given(rows=row_tables, table=st.integers(0, 2), deep=arrays)

@@ -268,6 +268,22 @@ class TestEvaluate:
             assert result.lhs >= result.bound
             assert not result.satisfied
 
+    @given(case=graph_cases(), gain_mode=st.sampled_from(["unit", "optimal"]), data=st.data())
+    def test_nothing_certified_at_zero_squeezing(self, case, gain_mode, data):
+        # At r = 0 the state is the vacuum, a product state, whatever the
+        # network and the loss; there the optimal-gain lhs equals the bound in
+        # exact arithmetic, so a rounding-level margin must not count.
+        criteria, unitary = case
+        n = len(unitary)
+        etas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        state = presets.cluster_state(
+            unitary, presets.experiment_pattern(0.0, n), loss=LossModel(tuple(etas))
+        )
+        gains = resolve_gains(criteria, gain_mode, state)
+        report = full_inseparability_report(criteria, state, gains)
+        assert [r.cid for r in report.results if r.satisfied] == []
+        assert not report.all_satisfied
+
     def test_unit_gain_lhs_equals_nullifier_variance_sum(self):
         for criteria_set, graph, state in (
             (LINEAR, graphs.linear_chain(8), linear_state(0.37)),

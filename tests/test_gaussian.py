@@ -206,18 +206,17 @@ class TestExcessNoise:
         noise = excess_noise_decomposition(
             presets.chain8_unitary(), presets.experiment_pattern(0.5), vectors
         )[0]
-        assert noise.anti == ()
-        assert len(noise.squeezed) == 1
-        term = noise.squeezed[0]
-        assert (term.mode, term.quadrature) == (1, "x")
-        assert term.coefficient == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert noise.anti.size == 0
+        [(mode, quadrature, coefficient)] = noise.squeezed.tolist()
+        assert (mode, quadrature) == (1, "x")
+        assert coefficient == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_chain8_fourth_nullifier_terms(self):
         vectors = presets.nullifier_vectors(graphs.linear_chain(8))
         noise = excess_noise_decomposition(
             presets.chain8_unitary(), presets.experiment_pattern(0.5), vectors
         )[3]
-        got = {(t.mode, t.quadrature): t.coefficient for t in noise.squeezed}
+        got = {(m, q): coeff for m, q, coeff in noise.squeezed.tolist()}
         assert got[(2, "p")] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
         assert got[(6, "p")] == pytest.approx(np.sqrt(2 / 5), abs=1e-12)
         assert got[(5, "x")] == pytest.approx(np.sqrt(34 / 15), abs=1e-12)
@@ -228,9 +227,12 @@ class TestExcessNoise:
         pattern = SqueezePattern.uniform(2, 0.3, orientation="x")
         c = combination_vector(2, [(1, "p", 1.0)])
         noise = excess_noise_decomposition(np.eye(2, dtype=complex), pattern, [c])[0]
-        assert noise.squeezed == ()
-        assert len(noise.anti) == 1
-        assert noise.anti[0].coefficient == pytest.approx(1.0)
+        assert noise.squeezed.size == 0
+        assert noise.anti.tolist() == [(1, "p", pytest.approx(1.0))]
+
+    def test_no_combinations_give_no_decompositions(self):
+        pattern = SqueezePattern.alternating(3, 0.4)
+        assert excess_noise_decomposition(np.eye(3, dtype=complex), pattern, []) == []
 
     def test_reconstruction_matches_covariance_for_random_networks(self):
         rng = np.random.default_rng(17)
@@ -281,11 +283,18 @@ def test_excess_noise_matches_one_pull_back_per_vector(case, k, seed):
     combos = rng.standard_normal((k, 2 * n)) * rng.choice([1e-3, 1.0, 1e3], size=(k, 1))
     s = symplectic_from_unitary(u)
     squeezed = gaussian._squeezed_quadratures(orientations)
-    for c, noise in zip(combos, excess_noise_decomposition(u, pattern, list(combos))):
+    noises = excess_noise_decomposition(u, pattern, list(combos))
+    assert len(noises) == k
+    for c, noise in zip(combos, noises):
         w = s.T @ c
         tol = 1e-15 * np.linalg.norm(s, 2) * np.linalg.norm(c)
+        for side in (noise.squeezed, noise.anti):
+            # Rows of NOISE_TERM, each side in the order x_1, p_1, x_2, p_2, ...
+            assert side.dtype == gaussian.NOISE_TERM
+            order = [(m, "xp".index(q)) for m, q, _ in side.tolist()]
+            assert order == sorted(set(order))
         listed = {
-            (t.mode, t.quadrature): t.coefficient for t in noise.squeezed + noise.anti
+            (m, q): coeff for m, q, coeff in noise.squeezed.tolist() + noise.anti.tolist()
         }
         for i in range(2 * n):
             got = listed.get((i % n + 1, "xp"[i // n]))
@@ -293,7 +302,7 @@ def test_excess_noise_matches_one_pull_back_per_vector(case, k, seed):
                 assert abs(w[i]) <= 1e-12 + tol
             else:
                 assert abs(got - w[i]) <= tol
-        assert {(t.mode, t.quadrature) for t in noise.squeezed} <= {
+        assert {(m, q) for m, q, _ in noise.squeezed.tolist()} <= {
             (i % n + 1, "xp"[i // n]) for i in np.flatnonzero(squeezed)
         }
         assert noise.max_anti_coefficient == pytest.approx(
