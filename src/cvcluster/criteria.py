@@ -9,10 +9,11 @@ a criterion builds that one form on first use, and :meth:`Criterion.sides`
 (the side vectors under a gain table), the optimal-gain solve and the r
 curves all read it.
 
-Curves and thresholds in the squeezing parameter r take the covariance as
-data, the stack K of :func:`cvcluster.gaussian.squeezing_terms` with
-cov(r) = e^{-2r} K[0] + e^{2r} K[1] + K[2], so a whole r grid is one batched
-evaluation.
+Curves and thresholds in the squeezing parameter r project the stack K of
+:func:`cvcluster.gaussian.squeezing_terms`, cov(r) = e^{-2r} K[0] + e^{2r} K[1]
++ K[2], once onto the criterion's Gram block G = sum over sides of B cov B^T,
+with B = [c(0); C] cut to its nonzero columns (the modes of N[a] and N[b]), so
+no 2n x 2n matrix is formed at any r.  The gain solve reads the same block.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class Criterion:
         return tuple(sorted(names))
 
     @cached_property
-    def affine_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sides u, v as c(g) = c(0) + g C: c(0) is (2, 2n), C is (2, slots, 2n)."""
+    def affine_form(self) -> np.ndarray:
+        """Sides u, v as c(g) = c(0) + g C, stacked as B = [c(0); C]: (2, 1 + slots, 2n)."""
 
         def vector(side, slot):
             terms = ((t.mode, t.quadrature, t.coefficient) for t in side if t.gain == slot)
@@ -107,15 +108,15 @@ class Criterion:
         slots = (None, *self.gain_names)
         form = np.array([[vector(side, slot) for slot in slots] for side in (self.u, self.v)])
         form.flags.writeable = False
-        return form[:, 0], form[:, 1:]
+        return form
 
     def sides(self, gains: GainSet) -> np.ndarray:
         """The (2, 2n) coefficient vectors of u and v under a table of slot values."""
         for name in self.gain_names:
             if name not in gains:
                 raise ValueError(f"missing gain value for slot {name!r}")
-        c0, rows = self.affine_form
-        return c0 + np.array([gains[name] for name in self.gain_names], dtype=float) @ rows
+        values = np.array([gains[name] for name in self.gain_names], dtype=float)
+        return self.affine_form[:, 0] + values @ self.affine_form[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def vlf_bound(criterion: Criterion) -> float:
     No gain slot scales those four coefficients (the criterion checks this
     when built), so the bound reads them off the ungained sides c(0).
     """
-    (u_x, u_p), (v_x, v_p) = criterion.affine_form[0].reshape(2, 2, criterion.n)
+    (u_x, u_p), (v_x, v_p) = criterion.affine_form[:, 0].reshape(2, 2, criterion.n)
     a, b = criterion.bipartition
     return float(0.5 * (abs(u_p[a - 1] * v_x[a - 1]) + abs(u_x[b - 1] * v_p[b - 1])))
 
@@ -209,14 +210,18 @@ def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> Crit
     )
 
 
-def _solve_gains(criterion: Criterion, covs: np.ndarray) -> np.ndarray:
-    """Exact minimising gains, one row per covariance of an (m, 2n, 2n) stack."""
-    c0, rows = criterion.affine_form
-    left = rows @ covs[:, None]
+def _gram(criterion: Criterion, covs: np.ndarray) -> np.ndarray:
+    """Sum over sides of B cov B^T on B's nonzero columns: (..., 1 + slots, 1 + slots)."""
+    form = criterion.affine_form
+    support = np.flatnonzero(form.any(axis=(0, 1)))
+    block = form[:, :, support]
+    return (block @ covs[..., None, support[:, None], support] @ block.transpose(0, 2, 1)).sum(-3)
+
+
+def _solve_gains(criterion: Criterion, grams: np.ndarray) -> np.ndarray:
+    """Exact minimising gains G[1:, 1:] g = -G[1:, 0], one row per Gram block of a stack."""
     try:
-        solution = np.linalg.solve(
-            (left @ rows.transpose(0, 2, 1)).sum(axis=1), -(left @ c0[:, :, None]).sum(axis=1)
-        )[..., 0]
+        solution = np.linalg.solve(grams[..., 1:, 1:], -grams[..., 1:, :1])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"gain system of criterion {criterion.cid} is singular") from exc
     if not np.all(np.isfinite(solution)):
@@ -232,7 +237,7 @@ def optimal_gains_numeric(criterion: Criterion, state: GaussianState) -> dict[st
     (sum C^T S C) g = -sum C^T S c(0), summed over both sides with S the
     state covariance.  A singular system or a non-finite solution raises.
     """
-    solution = _solve_gains(criterion, state.cov[None])[0]
+    solution = _solve_gains(criterion, _gram(criterion, state.cov))
     return {name: float(g) for name, g in zip(criterion.gain_names, solution)}
 
 
@@ -272,17 +277,15 @@ def lhs_curve(criterion: Criterion, terms: np.ndarray, rs, gain_mode: str = "uni
     ``terms`` is the stack K of :func:`cvcluster.gaussian.squeezing_terms`;
     ``gain_mode`` "unit" sets every gain to 1, "optimal" solves them at each r.
     """
-    weights = np.exp(np.multiply.outer(np.asarray(rs, dtype=float), [-2.0, 2.0, 0.0]))
-    covs = np.tensordot(weights, terms, axes=1)
-    if gain_mode == "unit":
-        gains = np.ones((len(covs), len(criterion.gain_names)))
-    elif gain_mode == "optimal":
-        gains = _solve_gains(criterion, covs)
-    else:
+    if gain_mode not in ("unit", "optimal"):
         raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
-    c0, rows = criterion.affine_form
-    vecs = c0 + np.einsum("mk,ski->msi", gains, rows)
-    return np.einsum("msi,mij,msj->m", vecs, covs, vecs)
+    weights = np.exp(np.multiply.outer(np.asarray(rs, dtype=float), [-2.0, 2.0, 0.0]))
+    blocks = _gram(criterion, terms)
+    grams = (weights @ blocks.reshape(3, -1)).reshape(-1, *blocks.shape[1:])
+    vecs = np.ones(grams.shape[:2])
+    if gain_mode == "optimal":
+        vecs[:, 1:] = _solve_gains(criterion, grams)
+    return np.einsum("mi,mij,mj->m", vecs, grams, vecs)
 
 
 def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit") -> float | None:
@@ -319,7 +322,7 @@ def full_inseparability_report(
     state: GaussianState,
     gains: Mapping[str, GainSet],
 ) -> InseparabilityReport:
-    """Evaluate a whole criteria set; the verdict requires every inequality.
+    """Evaluate a whole criteria set; the verdict requires at least one inequality, all held.
 
     Each inequality refutes the splits that separate its mode pair, so the
     verdict also requires the pairs to connect all modes: then every split
@@ -330,7 +333,8 @@ def full_inseparability_report(
     results = tuple(evaluate(c, state, gains[c.cid]) for c in criteria)
     return InseparabilityReport(
         results=results,
-        all_satisfied=all(r.satisfied for r in results)
+        all_satisfied=bool(results)
+        and all(r.satisfied for r in results)
         and _connects_all_modes([c.bipartition for c in criteria], state.n),
     )
 

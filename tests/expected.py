@@ -187,11 +187,13 @@ def lcg_edges(n: int, count: int, seed: int) -> list[list[int]]:
     return [list(e) for e in sorted(edges)]
 
 
-# A 64-mode custom graph (mean degree 3) for the compile pins below.
+# A 64-mode custom graph (mean degree 3) for the compile, simulate and sweep
+# pins below; only `sweep` reads the sweep section.
 CUSTOM64_CONFIG = {
     "graph": {"n": 64, "edges": lcg_edges(64, 96, seed=8)},
     "squeeze": {"r": 0.5},
     "loss": {"eta": 1.0},
+    "sweep": {"r_min": 0.0, "r_max": 1.0, "steps": 21},
 }
 
 # A 256-mode custom graph (mean degree 3, per-mode efficiencies in [0.5, 1]),
@@ -290,7 +292,10 @@ CRITERIA_SHA256 = {
 }
 
 # sha256 of the files `cvcluster sweep` writes for each builtin, taken at the
-# same commit as CRITERIA_SHA256.
+# same commit as CRITERIA_SHA256.  For custom64, thresholds.json was taken
+# while the r curves still formed a 2n x 2n covariance at every r, and
+# sweep.csv after they read one Gram block per criterion: that moved one
+# printed value (r = 0.9, criterion 23-42, lhs_optimal) in its 12th digit.
 SWEEP_SHA256 = {
     "linear8": {
         "sweep.csv": "a5dc452213e1f80c5d346b866fe657740f101d5e1963e1c439a4c3735e95576a",
@@ -307,5 +312,9 @@ SWEEP_SHA256 = {
     "diamond8_physical": {
         "sweep.csv": "d2c1c9747a66511f76afbaa10a5c8ca4db1559cce95221c1c659df4b599773bc",
         "thresholds.json": "224f8c2b85e9a1167fc618e19321084f26755e8f7a66d1526332a5036cd976d5",
+    },
+    "custom64": {
+        "sweep.csv": "731284c722106db14b4d54374f0cd3e091b7a2663ba5b995c18ff158b786ca2f",
+        "thresholds.json": "aa6d9757d0bdf725f6567d467c9a05b450caad9d53b3136e81892634a8ff525b",
     },
 }

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -25,7 +26,7 @@ from cvcluster.criteria import (
 from cvcluster.gaussian import LossModel, quadrature_variance, squeezing_terms, vacuum_state
 from cvcluster.network import compile_cluster_unitary
 
-from expected import PUBLISHED_CRITERIA, optimal_gains_analytic
+from expected import PUBLISHED_CRITERIA, lcg_edges, optimal_gains_analytic
 
 
 def linear_state(r):
@@ -268,11 +269,16 @@ class TestEvaluate:
             assert result.lhs >= result.bound
             assert not result.satisfied
 
-    @given(case=graph_cases(), gain_mode=st.sampled_from(["unit", "optimal"]), data=st.data())
+    @given(
+        case=graph_cases() | st.just(([], np.eye(1))),
+        gain_mode=st.sampled_from(["unit", "optimal"]),
+        data=st.data(),
+    )
     def test_nothing_certified_at_zero_squeezing(self, case, gain_mode, data):
         # At r = 0 the state is the vacuum, a product state, whatever the
         # network and the loss; there the optimal-gain lhs equals the bound in
-        # exact arithmetic, so a rounding-level margin must not count.
+        # exact arithmetic, so a rounding-level margin must not count.  The
+        # one-mode graph has no inequality at all, so nothing certifies it.
         criteria, unitary = case
         n = len(unitary)
         etas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
@@ -424,6 +430,23 @@ class TestLhsCurve:
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
             lhs_curve(LINEAR[0], LINEAR_TERMS, [0.3], "tuned")
+
+    def test_peak_memory_of_a_128_mode_curve_is_under_1_mb(self):
+        # A criterion's sides touch only the modes of N[a] and N[b], so a
+        # curve holds one small Gram block per r, never a 256 x 256 covariance.
+        graph = graphs.Graph.from_edges(128, lcg_edges(128, 192, seed=12))
+        _, unitary = compile_cluster_unitary(
+            graphs.adjacency(graph), x_squeezed_inputs=range(1, 129, 2)
+        )
+        terms = squeezing_terms(unitary, presets.experiment_pattern(0.0, 128).orientations)
+        criterion = graph_criteria(graph)[0]
+        tracemalloc.start()
+        try:
+            lhs_curve(criterion, terms, np.linspace(0.05, 3.0, 60), "optimal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 def closed_form_threshold(criterion, unitary, loss):
