@@ -364,9 +364,11 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
     with open(out / "sweep.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["r", "criterion", "lhs_unit", "lhs_optimal", "bound"])
-        for i, r in enumerate(grid):
-            for c, values in zip(criteria, table[:, :, i]):
-                writer.writerow([f"{r:.10g}", c.cid, *(f"{v:.12g}" for v in values)])
+        writer.writerows(
+            [f"{r:.10g}", c.cid, *(f"{v:.12g}" for v in values)]
+            for r, rows in zip(grid.tolist(), table.transpose(2, 0, 1).tolist())
+            for c, values in zip(criteria, rows)
+        )
 
     print(f"graph {label}: unit-gain squeezing thresholds")
     thresholds = []
@@ -391,9 +393,12 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
             )
         thresholds.append(entry)
 
-        line = f"  {criterion.cid}: r > {'none' if computed is None else f'{computed:.4f}'}"
-        if found["optimal"] is None:
-            line += " (optimal gains: satisfied for all r > 0)"
+        if found["unit"] is None:
+            line = f"  {criterion.cid}: satisfied for all r > 0"
+        else:
+            line = f"  {criterion.cid}: r > {'none' if computed is None else f'{computed:.4f}'}"
+            if found["optimal"] is None:
+                line += " (optimal gains: satisfied for all r > 0)"
         if published is not None:
             line += f" [published: {published:.2f}]"
         if "note" in entry:

@@ -11,9 +11,11 @@ curves all read it.
 
 Curves and thresholds in the squeezing parameter r project the stack K of
 :func:`cvcluster.gaussian.squeezing_terms`, cov(r) = e^{-2r} K[0] + e^{2r} K[1]
-+ K[2], once onto the criterion's Gram block G = sum over sides of B cov B^T,
-with B = [c(0); C] cut to its nonzero columns (the modes of N[a] and N[b]), so
-no 2n x 2n matrix is formed at any r.  The gain solve reads the same block.
++ K[2], once per call onto the criterion's Gram block G = sum over sides of
+B cov B^T, with B = [c(0); C] cut to its nonzero columns (the modes of N[a] and
+N[b]), so no 2n x 2n matrix is formed at any r.  The gain solve reads the same
+block.  A threshold's grid scan and every step of its bisection read the one
+block, and the bisection evaluates several levels of midpoints per curve call.
 """
 
 from __future__ import annotations
@@ -277,15 +279,27 @@ def lhs_curve(criterion: Criterion, terms: np.ndarray, rs, gain_mode: str = "uni
     ``terms`` is the stack K of :func:`cvcluster.gaussian.squeezing_terms`;
     ``gain_mode`` "unit" sets every gain to 1, "optimal" solves them at each r.
     """
+    _check_gain_mode(gain_mode)
+    return _curve(criterion, _gram(criterion, terms), rs, gain_mode)
+
+
+def _check_gain_mode(gain_mode: str) -> None:
     if gain_mode not in ("unit", "optimal"):
         raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
+
+
+def _curve(criterion: Criterion, blocks: np.ndarray, rs, gain_mode: str) -> np.ndarray:
+    """Variance sum at every r in ``rs`` from the projected stack Q = _gram(criterion, K)."""
     weights = np.exp(np.multiply.outer(np.asarray(rs, dtype=float), [-2.0, 2.0, 0.0]))
-    blocks = _gram(criterion, terms)
     grams = (weights @ blocks.reshape(3, -1)).reshape(-1, *blocks.shape[1:])
     vecs = np.ones(grams.shape[:2])
     if gain_mode == "optimal":
         vecs[:, 1:] = _solve_gains(criterion, grams)
     return np.einsum("mi,mij,mj->m", vecs, grams, vecs)
+
+
+# Bisection steps decided per curve evaluation: 2**_LEVELS - 1 midpoints each.
+_LEVELS = 4
 
 
 def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit") -> float | None:
@@ -298,10 +312,19 @@ def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit"
     efficiencies the optimal-gain curve starts exactly at the bound, so
     ``sweep`` writes 3.8e-7 and a later failure goes unreported.  The bound
     is :func:`vlf_bound`, which does not depend on the gains.
+
+    ``terms`` is projected onto the criterion's Gram block once; the scan and
+    every bisection step read that block.  The bisection runs ``_LEVELS``
+    steps per curve evaluation: the next midpoints of a bracket [lo, hi] lie
+    on a grid nested by repeated ``0.5 * (a + b)``, the same floats one step
+    at a time would reach, so all of its interior points are evaluated at
+    once and the bracket then walks down through them.
     """
+    _check_gain_mode(gain_mode)
     bound = vlf_bound(criterion)
+    blocks = _gram(criterion, terms)
     grid = np.linspace(0.0, 3.0, 61)
-    lhs = lhs_curve(criterion, terms, grid[1:], gain_mode)
+    lhs = _curve(criterion, blocks, grid[1:], gain_mode)
     if np.all(lhs < bound):
         return None
     if np.all(lhs > bound):
@@ -309,11 +332,21 @@ def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit"
     first = int(np.argmax(lhs <= bound))
     lo, hi = grid[first], grid[first + 1]
     while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if lhs_curve(criterion, terms, [mid], gain_mode)[0] > bound:
-            lo = mid
-        else:
-            hi = mid
+        points = np.array([lo, hi])
+        for _ in range(_LEVELS):
+            nested = np.empty(2 * len(points) - 1)
+            nested[::2] = points
+            nested[1::2] = 0.5 * (points[:-1] + points[1:])
+            points = nested
+        above = _curve(criterion, blocks, points[1:-1], gain_mode) > bound
+        i, j = 0, len(points) - 1
+        while j - i > 1 and points[j] - points[i] > 1e-6:
+            mid = (i + j) // 2
+            if above[mid - 1]:
+                i = mid
+            else:
+                j = mid
+        lo, hi = points[i], points[j]
     return float(0.5 * (lo + hi))
 
 

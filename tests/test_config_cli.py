@@ -391,6 +391,31 @@ class TestSweepCommand:
         assert "4e: r > none (optimal gains: satisfied for all r > 0)" in out
         assert "<-- never satisfied on (0, 3] with unit gains" in out
 
+    def test_criterion_satisfied_on_the_whole_grid_is_reported(self, tmp_path, capsys):
+        # The lossless one-edge graph holds its criterion with unit gains at
+        # every scanned r: null thresholds and no note, like a never-satisfied
+        # criterion's null, but stdout must not read "r > none".
+        raw = {
+            "graph": {"n": 2, "edges": [[1, 2]]},
+            "squeeze": {"r": 0.0},
+            "loss": {"eta": 1.0},
+            "sweep": SHORT_SWEEP,
+        }
+        config = tmp_path / "edge.json"
+        config.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+        thresholds = json.loads((tmp_path / "thresholds.json").read_text())["thresholds"]
+        assert thresholds == [
+            {
+                "criterion": "1-2",
+                "published_unit": None,
+                "threshold_optimal": None,
+                "threshold_unit": None,
+            }
+        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  1-2: satisfied for all r > 0"
+
     def test_custom_chain_matches_linear8(self, tmp_path):
         # The chain given as a custom graph compiles to a gauge of the
         # published network, so its generated criteria ("1-2", ...) give the

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cvcluster import criteria as criteria_module
 from cvcluster import graphs, presets
 from cvcluster.config import parse_config
 from cvcluster.criteria import (
@@ -26,7 +27,7 @@ from cvcluster.criteria import (
 from cvcluster.gaussian import LossModel, quadrature_variance, squeezing_terms, vacuum_state
 from cvcluster.network import compile_cluster_unitary
 
-from expected import PUBLISHED_CRITERIA, lcg_edges, optimal_gains_analytic
+from expected import CUSTOM64_CONFIG, PUBLISHED_CRITERIA, lcg_edges, optimal_gains_analytic
 
 
 def linear_state(r):
@@ -402,6 +403,18 @@ class TestThresholds:
         with pytest.raises(ValueError):
             threshold_r(LINEAR[0], LINEAR_TERMS, "tuned")
 
+    def test_each_threshold_projects_the_terms_once(self, monkeypatch):
+        # The scan and every bisection step read one Gram block per call.
+        projections = []
+        original = criteria_module._gram
+        monkeypatch.setattr(
+            criteria_module, "_gram", lambda c, covs: projections.append(c) or original(c, covs)
+        )
+        for c, terms in [(c, LINEAR_TERMS) for c in LINEAR] + [(c, DIAMOND_TERMS) for c in DIAMOND]:
+            for gain_mode in ("unit", "optimal"):
+                threshold_r(c, terms, gain_mode)
+        assert len(projections) == 2 * len(BUILTIN)
+
 
 class TestLhsCurve:
     @given(
@@ -488,19 +501,77 @@ THRESHOLD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("label", THRESHOLD_CONFIGS)
-def test_thresholds_match_closed_form(label):
+def threshold_config(label):
+    """A THRESHOLD_CONFIGS entry, or custom64, parsed."""
+    if label == "custom64":
+        return parse_config(CUSTOM64_CONFIG)
     spec = THRESHOLD_CONFIGS[label]
     base = spec.get("base", label)
     raw = json.loads(resources.files("cvcluster").joinpath(f"configs/{base}.json").read_text())
     if "eta" in spec:
         raw["loss"] = {"eta": spec["eta"]}
-    config = parse_config(raw)
+    return parse_config(raw)
+
+
+def sequential_threshold(criterion, terms, gain_mode):
+    """The grid scan plus one single-point lhs_curve call per bisection step."""
+    bound = vlf_bound(criterion)
+    grid = np.linspace(0.0, 3.0, 61)
+    lhs = lhs_curve(criterion, terms, grid[1:], gain_mode)
+    if np.all(lhs < bound):
+        return None
+    if np.all(lhs > bound):
+        return np.inf
+    first = int(np.argmax(lhs <= bound))
+    lo, hi = grid[first], grid[first + 1]
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if lhs_curve(criterion, terms, [mid], gain_mode)[0] > bound:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("label", THRESHOLD_CONFIGS)
+def test_thresholds_match_closed_form(label):
+    config = threshold_config(label)
     unitary, loss = config.build_unitary(), config.loss
     terms = squeezing_terms(unitary, config.pattern.orientations, loss)
     for c in config.criteria():
         expected = closed_form_threshold(c, unitary, loss)
         assert abs(threshold_r(c, terms, "unit") - expected) < 1e-6, c.cid
+
+
+@pytest.mark.parametrize("label", [*THRESHOLD_CONFIGS, "custom64"])
+def test_batched_bisection_equals_the_sequential_one(label):
+    # The nested grid holds the sequential midpoints bitwise, so the
+    # thresholds agree exactly, in both gain modes.
+    config = threshold_config(label)
+    terms = squeezing_terms(config.build_unitary(), config.pattern.orientations, config.loss)
+    for c in config.criteria():
+        for gain_mode in ("unit", "optimal"):
+            batched = threshold_r(c, terms, gain_mode)
+            assert batched == sequential_threshold(c, terms, gain_mode), (c.cid, gain_mode)
+
+
+@given(case=graph_cases(), data=st.data())
+def test_batched_bisection_matches_the_sequential_one_on_random_graphs(case, data):
+    # Under per-mode loss a midpoint may sit within rounding of the bound, so
+    # the bisection may take the other side there: equal to within 1e-6.
+    criteria, unitary = case
+    n = len(unitary)
+    etas = data.draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
+    orientations = presets.experiment_pattern(0.0, n).orientations
+    terms = squeezing_terms(unitary, orientations, LossModel(tuple(etas)))
+    for c in criteria:
+        for gain_mode in ("unit", "optimal"):
+            batched = threshold_r(c, terms, gain_mode)
+            sequential = sequential_threshold(c, terms, gain_mode)
+            if sequential is None or sequential == np.inf:
+                assert batched == sequential, (c.cid, gain_mode)
+            else:
+                assert abs(batched - sequential) <= 1e-6, (c.cid, gain_mode)
 
 
 class TestReports:
