@@ -46,6 +46,7 @@ from .criteria import (
     evaluate,
     full_inseparability_report,
     graph_criteria,
+    gram_block,
     lhs_curve,
     optimal_gains_numeric,
     threshold_r,

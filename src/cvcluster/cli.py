@@ -30,7 +30,6 @@ json's pure-Python indenting encoder.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -42,7 +41,8 @@ import numpy as np
 
 from . import __version__, presets, reference
 from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, _parse_gains, load_config
-from .criteria import full_inseparability_report, lhs_curve, resolve_gains, threshold_r, vlf_bound
+from .criteria import full_inseparability_report, gram_block, lhs_curve, resolve_gains
+from .criteria import threshold_r, vlf_bound
 from .gaussian import (
     excess_noise_decomposition,
     qnl_variance,
@@ -351,33 +351,33 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
     grid = np.linspace(r_min, r_max, steps)
 
     terms = squeezing_terms(config.build_unitary(), config.pattern.orientations, config.loss)
-    # table[criterion, column, grid point], columns lhs_unit, lhs_optimal, bound.
-    table = np.array(
-        [
-            [lhs_curve(c, terms, grid, "unit"), lhs_curve(c, terms, grid, "optimal")]
-            + [np.full(steps, vlf_bound(c))]
-            for c in criteria
-        ]
-    ).reshape(len(criteria), 3, steps)
+    blocks = [gram_block(c, terms) for c in criteria]
+    bounds = [f"{vlf_bound(c):.12g}" for c in criteria]
+    modes = ("unit", "optimal")
+    # curves[criterion, gain mode, grid point].
+    curves = np.array([[lhs_curve(c, q, grid, m) for m in modes] for c, q in zip(criteria, blocks)])
+    curves = curves.reshape(len(criteria), 2, steps)
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["r", "criterion", "lhs_unit", "lhs_optimal", "bound"])
-        writer.writerows(
-            [f"{r:.10g}", c.cid, *(f"{v:.12g}" for v in values)]
-            for r, rows in zip(grid.tolist(), table.transpose(2, 0, 1).tolist())
-            for c, values in zip(criteria, rows)
-        )
+        handle.write("r,criterion,lhs_unit,lhs_optimal,bound\r\n")
+        for r, rows in zip(grid.tolist(), curves.transpose(2, 0, 1).tolist()):
+            r_text = f"{r:.10g}"
+            handle.writelines(
+                f"{r_text},{c.cid},{lhs_unit:.12g},{lhs_optimal:.12g},{bound}\r\n"
+                for c, (lhs_unit, lhs_optimal), bound in zip(criteria, rows, bounds)
+            )
 
+    experiment = presets.PUBLISHED.get(config.graph_name)
+    quoted = experiment.unit_gain_thresholds if experiment is not None else {}
     print(f"graph {label}: unit-gain squeezing thresholds")
     thresholds = []
-    for criterion in criteria:
-        found = {mode: threshold_r(criterion, terms, mode) for mode in ("unit", "optimal")}
+    for criterion, q in zip(criteria, blocks):
+        found = {mode: threshold_r(criterion, q, mode) for mode in modes}
         # inf: the criterion is satisfied nowhere on the scanned grid.
         never = [mode for mode, value in found.items() if value == np.inf]
         computed, optimal = (None if value == np.inf else value for value in found.values())
-        published = reference.PUBLISHED_UNIT_GAIN_THRESHOLDS.get(criterion.cid)
+        published = quoted.get(criterion.cid)
         entry = {
             "criterion": criterion.cid,
             "threshold_unit": computed,

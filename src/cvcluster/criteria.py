@@ -9,13 +9,14 @@ a criterion builds that one form on first use, and :meth:`Criterion.sides`
 (the side vectors under a gain table), the optimal-gain solve and the r
 curves all read it.
 
-Curves and thresholds in the squeezing parameter r project the stack K of
-:func:`cvcluster.gaussian.squeezing_terms`, cov(r) = e^{-2r} K[0] + e^{2r} K[1]
-+ K[2], once per call onto the criterion's Gram block G = sum over sides of
+:func:`gram_block` projects a covariance, or the stack K of
+:func:`cvcluster.gaussian.squeezing_terms` with cov(r) = e^{-2r} K[0] +
+e^{2r} K[1] + K[2], onto the criterion's Gram block G = sum over sides of
 B cov B^T, with B = [c(0); C] cut to its nonzero columns (the modes of N[a] and
-N[b]), so no 2n x 2n matrix is formed at any r.  The gain solve reads the same
-block.  A threshold's grid scan and every step of its bisection read the one
-block, and the bisection evaluates several levels of midpoints per curve call.
+N[b]).  The gain solve reads G of the state covariance.  Curves and thresholds
+in the squeezing parameter r read Q = gram_block(criterion, K), which callers
+project once per criterion, so no 2n x 2n matrix is formed at any r.  A
+threshold's bisection evaluates several levels of midpoints per curve call.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "unit_gains",
     "vlf_bound",
     "evaluate",
+    "gram_block",
     "optimal_gains_numeric",
     "resolve_gains",
     "lhs_curve",
@@ -212,7 +214,7 @@ def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> Crit
     )
 
 
-def _gram(criterion: Criterion, covs: np.ndarray) -> np.ndarray:
+def gram_block(criterion: Criterion, covs: np.ndarray) -> np.ndarray:
     """Sum over sides of B cov B^T on B's nonzero columns: (..., 1 + slots, 1 + slots)."""
     form = criterion.affine_form
     support = np.flatnonzero(form.any(axis=(0, 1)))
@@ -239,7 +241,7 @@ def optimal_gains_numeric(criterion: Criterion, state: GaussianState) -> dict[st
     (sum C^T S C) g = -sum C^T S c(0), summed over both sides with S the
     state covariance.  A singular system or a non-finite solution raises.
     """
-    solution = _solve_gains(criterion, _gram(criterion, state.cov))
+    solution = _solve_gains(criterion, gram_block(criterion, state.cov))
     return {name: float(g) for name, g in zip(criterion.gain_names, solution)}
 
 
@@ -273,25 +275,21 @@ def resolve_gains(
     return {c.cid: {name: overrides.get(name, 1.0) for name in c.gain_names} for c in criteria}
 
 
-def lhs_curve(criterion: Criterion, terms: np.ndarray, rs, gain_mode: str = "unit") -> np.ndarray:
+def lhs_curve(criterion: Criterion, q: np.ndarray, rs, gain_mode: str = "unit") -> np.ndarray:
     """Variance sum of the criterion at every squeezing value in ``rs``.
 
-    ``terms`` is the stack K of :func:`cvcluster.gaussian.squeezing_terms`;
-    ``gain_mode`` "unit" sets every gain to 1, "optimal" solves them at each r.
+    ``q`` is the criterion's projected stack Q = gram_block(criterion, K) of the
+    :func:`cvcluster.gaussian.squeezing_terms` stack K, shape (3, 1 + slots,
+    1 + slots); ``gain_mode`` "unit" sets every gain to 1, "optimal" solves
+    them at each r.
     """
-    _check_gain_mode(gain_mode)
-    return _curve(criterion, _gram(criterion, terms), rs, gain_mode)
-
-
-def _check_gain_mode(gain_mode: str) -> None:
     if gain_mode not in ("unit", "optimal"):
         raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
-
-
-def _curve(criterion: Criterion, blocks: np.ndarray, rs, gain_mode: str) -> np.ndarray:
-    """Variance sum at every r in ``rs`` from the projected stack Q = _gram(criterion, K)."""
+    size = 1 + len(criterion.gain_names)
+    if q.shape != (3, size, size):
+        raise ValueError(f"expected the (3, {size}, {size}) Gram block stack, got shape {q.shape}")
     weights = np.exp(np.multiply.outer(np.asarray(rs, dtype=float), [-2.0, 2.0, 0.0]))
-    grams = (weights @ blocks.reshape(3, -1)).reshape(-1, *blocks.shape[1:])
+    grams = (weights @ q.reshape(3, -1)).reshape(-1, size, size)
     vecs = np.ones(grams.shape[:2])
     if gain_mode == "optimal":
         vecs[:, 1:] = _solve_gains(criterion, grams)
@@ -302,7 +300,7 @@ def _curve(criterion: Criterion, blocks: np.ndarray, rs, gain_mode: str) -> np.n
 _LEVELS = 4
 
 
-def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit") -> float | None:
+def threshold_r(criterion: Criterion, q: np.ndarray, gain_mode: str = "unit") -> float | None:
     """Squeezing value where the variance sum crosses its bound.
 
     Scans r over (0, 3] in steps of 0.05 and bisects the first sign change of
@@ -313,18 +311,16 @@ def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit"
     ``sweep`` writes 3.8e-7 and a later failure goes unreported.  The bound
     is :func:`vlf_bound`, which does not depend on the gains.
 
-    ``terms`` is projected onto the criterion's Gram block once; the scan and
-    every bisection step read that block.  The bisection runs ``_LEVELS``
-    steps per curve evaluation: the next midpoints of a bracket [lo, hi] lie
-    on a grid nested by repeated ``0.5 * (a + b)``, the same floats one step
-    at a time would reach, so all of its interior points are evaluated at
-    once and the bracket then walks down through them.
+    ``q`` is the criterion's projected stack gram_block(criterion, K), as
+    for :func:`lhs_curve`; the scan and every bisection step read it.  The
+    bisection runs ``_LEVELS`` steps per curve evaluation: the next midpoints
+    of a bracket [lo, hi] lie on a grid nested by repeated ``0.5 * (a + b)``,
+    the same floats one step at a time would reach, so all of its interior
+    points are evaluated at once and the bracket then walks down through them.
     """
-    _check_gain_mode(gain_mode)
     bound = vlf_bound(criterion)
-    blocks = _gram(criterion, terms)
     grid = np.linspace(0.0, 3.0, 61)
-    lhs = _curve(criterion, blocks, grid[1:], gain_mode)
+    lhs = lhs_curve(criterion, q, grid[1:], gain_mode)
     if np.all(lhs < bound):
         return None
     if np.all(lhs > bound):
@@ -338,7 +334,7 @@ def threshold_r(criterion: Criterion, terms: np.ndarray, gain_mode: str = "unit"
             nested[::2] = points
             nested[1::2] = 0.5 * (points[:-1] + points[1:])
             points = nested
-        above = _curve(criterion, blocks, points[1:-1], gain_mode) > bound
+        above = lhs_curve(criterion, q, points[1:-1], gain_mode) > bound
         i, j = 0, len(points) - 1
         while j - i > 1 and points[j] - points[i] > 1e-6:
             mid = (i + j) // 2

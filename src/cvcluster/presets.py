@@ -7,8 +7,8 @@ the chain network followed by local output phases.  ``cluster_state``, the
 state builder of :mod:`cvcluster.gaussian`, is bound here for their callers.
 
 ``PUBLISHED`` holds each builtin graph with the labels of its inequalities,
-its printed noise-term table and its measured variance sums; every use of a
-builtin's tables looks it up there by name.
+its printed noise-term table, its measured variance sums and its quoted
+unit-gain thresholds; every use of a builtin's tables looks it up there by name.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ class PublishedExperiment(NamedTuple):
     labels: dict
     noise_terms: dict
     measured_lhs: tuple[float, ...]
+    unit_gain_thresholds: dict[str, float]
 
 
 _DIAMOND8_SLOTS = {
@@ -80,6 +81,7 @@ PUBLISHED = {
         ),
         noise_terms=reference.REFERENCE_NOISE_TERMS_LINEAR,
         measured_lhs=reference.MEASURED_LHS_LINEAR,
+        unit_gain_thresholds=reference.PUBLISHED_UNIT_GAIN_THRESHOLDS_LINEAR,
     ),
     "diamond8": PublishedExperiment(
         graph=graphs.two_diamond(),
@@ -90,6 +92,7 @@ PUBLISHED = {
         ),
         noise_terms=reference.REFERENCE_NOISE_TERMS_DIAMOND,
         measured_lhs=reference.MEASURED_LHS_DIAMOND,
+        unit_gain_thresholds=reference.PUBLISHED_UNIT_GAIN_THRESHOLDS_DIAMOND,
     ),
 }
 

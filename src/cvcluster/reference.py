@@ -28,6 +28,8 @@ __all__ = [
     "MEASURED_DB_DIAMOND",
     "MEASURED_DB_DIAMOND_TUNED",
     "PUBLISHED_UNIT_GAIN_THRESHOLDS",
+    "PUBLISHED_UNIT_GAIN_THRESHOLDS_LINEAR",
+    "PUBLISHED_UNIT_GAIN_THRESHOLDS_DIAMOND",
     "REFERENCE_NOISE_TERMS_LINEAR",
     "REFERENCE_NOISE_TERMS_DIAMOND",
     "NoiseTermMismatch",
@@ -59,14 +61,11 @@ MEASURED_DB_DIAMOND = (-2.61, -2.57, -2.39, -2.58, -2.61, -2.52, -2.59, -2.58)
 MEASURED_DB_DIAMOND_TUNED = (-1.57, -1.53)
 
 # Quoted unit-gain squeezing thresholds for the criteria that were plotted.
+PUBLISHED_UNIT_GAIN_THRESHOLDS_LINEAR = {"3a": 0.11, "3b": 0.20, "3c": 0.24, "3d": 0.27}
+PUBLISHED_UNIT_GAIN_THRESHOLDS_DIAMOND = {"4a": 0.20, "4c": 0.28, "4e": 0.35}
 PUBLISHED_UNIT_GAIN_THRESHOLDS = {
-    "3a": 0.11,
-    "3b": 0.20,
-    "3c": 0.24,
-    "3d": 0.27,
-    "4a": 0.20,
-    "4c": 0.28,
-    "4e": 0.35,
+    **PUBLISHED_UNIT_GAIN_THRESHOLDS_LINEAR,
+    **PUBLISHED_UNIT_GAIN_THRESHOLDS_DIAMOND,
 }
 
 # Printed input-operator expansions of the nullifiers: for each output mode,

@@ -11,6 +11,7 @@ from cvcluster import graphs, network, presets, reference
 from cvcluster.config import load_config
 from cvcluster.criteria import (
     evaluate,
+    gram_block,
     optimal_gains_numeric,
     resolve_gains,
     threshold_r,
@@ -211,15 +212,15 @@ def test_acceptance_6_thresholds():
     }
     computed = {}
     for cid, (criterion, terms, expected) in targets.items():
-        value = threshold_r(criterion, terms, "unit")
+        value = threshold_r(criterion, gram_block(criterion, terms), "unit")
         computed[cid] = value
         assert value == pytest.approx(expected, abs=1e-4), cid
 
     notes = []
     for cid in ("3c", "3d"):
-        value = threshold_r(lin[cid], linear_terms, "unit")
+        value = threshold_r(lin[cid], gram_block(lin[cid], linear_terms), "unit")
         assert value == pytest.approx(0.5 * np.log(1.5), abs=1e-4)
-        published = reference.PUBLISHED_UNIT_GAIN_THRESHOLDS[cid]
+        published = presets.PUBLISHED["linear8"].unit_gain_thresholds[cid]
         notes.append(
             f"{cid}: model {value:.4f} vs published {published:.2f} "
             "(covariance simulation is the ground truth; the model value also "

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cvcluster import cli, graphs, presets
 from cvcluster import criteria as criteria_module
-from cvcluster import graphs, presets
 from cvcluster.config import parse_config
 from cvcluster.criteria import (
     Criterion,
@@ -17,6 +17,7 @@ from cvcluster.criteria import (
     evaluate,
     full_inseparability_report,
     graph_criteria,
+    gram_block,
     lhs_curve,
     optimal_gains_numeric,
     resolve_gains,
@@ -184,7 +185,7 @@ class TestBound:
         state = vacuum_state(len(terms[0]) // 2)
         for c in criteria:
             assert evaluate(c, state, gains).bound == vlf_bound(c) == 1.0, c.cid
-            threshold_r(c, terms, "optimal")
+            threshold_r(c, gram_block(c, terms), "optimal")
 
     def test_3a_bound_with_scaled_gain(self):
         c = LINEAR[0]
@@ -381,19 +382,19 @@ class TestOptimalGains:
 
 class TestThresholds:
     def test_3a_unit_threshold(self):
-        value = threshold_r(LINEAR[0], LINEAR_TERMS, "unit")
+        value = threshold_r(LINEAR[0], gram_block(LINEAR[0], LINEAR_TERMS), "unit")
         assert value == pytest.approx(0.5 * np.log(1.25), abs=1e-4)
 
     def test_4c_unit_threshold(self):
-        value = threshold_r(DIAMOND[2], DIAMOND_TERMS, "unit")
+        value = threshold_r(DIAMOND[2], gram_block(DIAMOND[2], DIAMOND_TERMS), "unit")
         assert value == pytest.approx(0.5 * np.log(1.75), abs=1e-4)
 
     def test_3a_optimal_never_crosses(self):
-        assert threshold_r(LINEAR[0], LINEAR_TERMS, "optimal") is None
+        assert threshold_r(LINEAR[0], gram_block(LINEAR[0], LINEAR_TERMS), "optimal") is None
 
     def test_threshold_brackets_the_crossing(self):
         c = LINEAR[0]
-        value = threshold_r(c, LINEAR_TERMS, "unit")
+        value = threshold_r(c, gram_block(c, LINEAR_TERMS), "unit")
         eps = 1e-4
         above = evaluate(c, linear_state(value + eps), unit_gains(c))
         below = evaluate(c, linear_state(value - eps), unit_gains(c))
@@ -401,19 +402,39 @@ class TestThresholds:
 
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
-            threshold_r(LINEAR[0], LINEAR_TERMS, "tuned")
+            threshold_r(LINEAR[0], gram_block(LINEAR[0], LINEAR_TERMS), "tuned")
 
-    def test_each_threshold_projects_the_terms_once(self, monkeypatch):
-        # The scan and every bisection step read one Gram block per call.
+    def test_published_thresholds_are_tables_of_their_graph(self):
+        linear = presets.PUBLISHED["linear8"].unit_gain_thresholds
+        diamond = presets.PUBLISHED["diamond8"].unit_gain_thresholds
+        assert linear == {"3a": 0.11, "3b": 0.20, "3c": 0.24, "3d": 0.27}
+        assert diamond == {"4a": 0.20, "4c": 0.28, "4e": 0.35}
+        for name, table in (("linear8", linear), ("diamond8", diamond)):
+            assert set(table) <= {c.cid for c in presets.builtin_criteria(name)}, name
+
+    def test_sweep_projects_each_criterion_once(self, monkeypatch, tmp_path):
+        # Both r-curves and both thresholds of a criterion read one Gram block;
+        # lhs_curve and threshold_r project nothing themselves.
         projections = []
-        original = criteria_module._gram
-        monkeypatch.setattr(
-            criteria_module, "_gram", lambda c, covs: projections.append(c) or original(c, covs)
-        )
-        for c, terms in [(c, LINEAR_TERMS) for c in LINEAR] + [(c, DIAMOND_TERMS) for c in DIAMOND]:
-            for gain_mode in ("unit", "optimal"):
-                threshold_r(c, terms, gain_mode)
-        assert len(projections) == 2 * len(BUILTIN)
+        original = criteria_module.gram_block
+
+        def counted(c, covs):
+            projections.append(c.cid)
+            return original(c, covs)
+
+        for module in (criteria_module, cli):
+            monkeypatch.setattr(module, "gram_block", counted)
+        argv = ["sweep", "--config", "diamond8_physical", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert projections == [c.cid for c in DIAMOND]
+
+    def test_a_covariance_stack_is_not_a_gram_block(self):
+        # The (3, 2n, 2n) stack K must be projected first: 1 + slots < 2n.
+        for c, terms in [(LINEAR[0], LINEAR_TERMS), (DIAMOND[4], DIAMOND_TERMS)]:
+            with pytest.raises(ValueError, match="Gram block"):
+                lhs_curve(c, terms, [0.3], "unit")
+            with pytest.raises(ValueError, match="Gram block"):
+                threshold_r(c, terms, "optimal")
 
 
 class TestLhsCurve:
@@ -430,8 +451,9 @@ class TestLhsCurve:
         loss = None if etas is None else LossModel(tuple(etas))
         terms = squeezing_terms(unitary, presets.experiment_pattern(0.0, n).orientations, loss)
         for c in criteria:
-            unit = lhs_curve(c, terms, rs, "unit")
-            optimal = lhs_curve(c, terms, rs, "optimal")
+            q = gram_block(c, terms)
+            unit = lhs_curve(c, q, rs, "unit")
+            optimal = lhs_curve(c, q, rs, "optimal")
             for r, unit_lhs, optimal_lhs in zip(rs, unit, optimal):
                 pattern = presets.experiment_pattern(r, n)
                 state = presets.cluster_state(unitary, pattern, loss=loss)
@@ -442,11 +464,12 @@ class TestLhsCurve:
 
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
-            lhs_curve(LINEAR[0], LINEAR_TERMS, [0.3], "tuned")
+            lhs_curve(LINEAR[0], gram_block(LINEAR[0], LINEAR_TERMS), [0.3], "tuned")
 
     def test_peak_memory_of_a_128_mode_curve_is_under_1_mb(self):
-        # A criterion's sides touch only the modes of N[a] and N[b], so a
-        # curve holds one small Gram block per r, never a 256 x 256 covariance.
+        # A criterion's sides touch only the modes of N[a] and N[b], so its
+        # projection and curve hold small Gram blocks, never a 256 x 256
+        # covariance per r.
         graph = graphs.Graph.from_edges(128, lcg_edges(128, 192, seed=12))
         _, unitary = compile_cluster_unitary(
             graphs.adjacency(graph), x_squeezed_inputs=range(1, 129, 2)
@@ -455,7 +478,8 @@ class TestLhsCurve:
         criterion = graph_criteria(graph)[0]
         tracemalloc.start()
         try:
-            lhs_curve(criterion, terms, np.linspace(0.05, 3.0, 60), "optimal")
+            q = gram_block(criterion, terms)
+            lhs_curve(criterion, q, np.linspace(0.05, 3.0, 60), "optimal")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -513,11 +537,11 @@ def threshold_config(label):
     return parse_config(raw)
 
 
-def sequential_threshold(criterion, terms, gain_mode):
+def sequential_threshold(criterion, q, gain_mode):
     """The grid scan plus one single-point lhs_curve call per bisection step."""
     bound = vlf_bound(criterion)
     grid = np.linspace(0.0, 3.0, 61)
-    lhs = lhs_curve(criterion, terms, grid[1:], gain_mode)
+    lhs = lhs_curve(criterion, q, grid[1:], gain_mode)
     if np.all(lhs < bound):
         return None
     if np.all(lhs > bound):
@@ -526,7 +550,7 @@ def sequential_threshold(criterion, terms, gain_mode):
     lo, hi = grid[first], grid[first + 1]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if lhs_curve(criterion, terms, [mid], gain_mode)[0] > bound:
+        if lhs_curve(criterion, q, [mid], gain_mode)[0] > bound:
             lo = mid
         else:
             hi = mid
@@ -540,7 +564,7 @@ def test_thresholds_match_closed_form(label):
     terms = squeezing_terms(unitary, config.pattern.orientations, loss)
     for c in config.criteria():
         expected = closed_form_threshold(c, unitary, loss)
-        assert abs(threshold_r(c, terms, "unit") - expected) < 1e-6, c.cid
+        assert abs(threshold_r(c, gram_block(c, terms), "unit") - expected) < 1e-6, c.cid
 
 
 @pytest.mark.parametrize("label", [*THRESHOLD_CONFIGS, "custom64"])
@@ -550,9 +574,10 @@ def test_batched_bisection_equals_the_sequential_one(label):
     config = threshold_config(label)
     terms = squeezing_terms(config.build_unitary(), config.pattern.orientations, config.loss)
     for c in config.criteria():
+        q = gram_block(c, terms)
         for gain_mode in ("unit", "optimal"):
-            batched = threshold_r(c, terms, gain_mode)
-            assert batched == sequential_threshold(c, terms, gain_mode), (c.cid, gain_mode)
+            batched = threshold_r(c, q, gain_mode)
+            assert batched == sequential_threshold(c, q, gain_mode), (c.cid, gain_mode)
 
 
 @given(case=graph_cases(), data=st.data())
@@ -565,9 +590,10 @@ def test_batched_bisection_matches_the_sequential_one_on_random_graphs(case, dat
     orientations = presets.experiment_pattern(0.0, n).orientations
     terms = squeezing_terms(unitary, orientations, LossModel(tuple(etas)))
     for c in criteria:
+        q = gram_block(c, terms)
         for gain_mode in ("unit", "optimal"):
-            batched = threshold_r(c, terms, gain_mode)
-            sequential = sequential_threshold(c, terms, gain_mode)
+            batched = threshold_r(c, q, gain_mode)
+            sequential = sequential_threshold(c, q, gain_mode)
             if sequential is None or sequential == np.inf:
                 assert batched == sequential, (c.cid, gain_mode)
             else:

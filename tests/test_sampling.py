@@ -252,23 +252,62 @@ def test_two_draws_are_centred_exactly(seed):
     np.testing.assert_allclose(streamed.estimate, reference.estimate, rtol=1e-12, atol=0.0)
 
 
+# Rows of draws projected at a time by the exact reference below.
+EXACT_CHUNK = 2**15
+
+
+def exact_row_sums(blocks):
+    """``math.fsum`` of each row of (k, m) blocks laid end to end, for k rows.
+
+    A double is an integer |d| < 2^53 times 2^(e - 53), e from ``np.frexp``.
+    d splits into a high and a low digit below 2^27, and ``np.bincount``
+    adds each row's digits of equal e.  Below 2^26 values per row every
+    partial sum is an integer under 2^53, so nothing rounds; each digit total
+    times its power of two is an exact double, and ``math.fsum`` of those
+    rounds once, to the double nearest the exact sum, as it does on the values.
+    """
+    span, offset = 2100, 1075  # e of a double lies in [-1073, 1024]
+    totals = 0.0
+    for block in blocks:
+        mantissas, exponents = np.frexp(block)
+        assert exponents.min() >= -1021, "digits times 2^(e - 53) would be subnormal"
+        digits = np.ldexp(mantissas, 53).astype(np.int64)
+        high = digits >> 26
+        keys = (exponents + offset + span * np.arange(len(block))[:, None]).ravel()
+        size = len(block) * span
+        totals = totals + np.array(
+            [np.bincount(keys, d.ravel(), size) for d in (high, digits - (high << 26))]
+        )
+    powers = np.ldexp(1.0, np.arange(span) - offset - 53)
+    return [
+        math.fsum(np.concatenate([high * powers * 2.0**26, low * powers]).tolist())
+        for high, low in totals.reshape(2, -1, span).transpose(1, 0, 2)
+    ]
+
+
+def test_exact_row_sums_round_as_fsum_does():
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((3, 5000)) * np.exp(rng.uniform(-30.0, 30.0, (3, 5000)))
+    values[0, ::7] = 0.0
+    values[1, :2] = [1e300, -1e300]
+    assert exact_row_sums(np.array_split(values, 4, axis=1)) == [
+        math.fsum(row.tolist()) for row in values
+    ]
+
+
 def test_streamed_estimates_match_an_exact_two_pass_sum():
     # The checks of five `sample` ops (each builtin, and diamond8_physical with
     # optimal gains) at 10**6 draws, 245 blocks.  Merged one block after the
     # other, those blocks drift from the exact sum by 1.2e-15 to 1.6e-15
     # relative; the pairwise tree stays below 3.3e-16.  Unit-gain sides repeat
-    # nullifiers, so the exact sum is taken once per distinct pulled-back row.
+    # nullifiers, so the exact sums are taken once per distinct pulled-back row,
+    # all rows at once over chunks of the draws.
     n, seed = 1_000_000, 1
     normals = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, 16))
 
-    def exact_variance(pulled):
-        projected = normals @ pulled
-        mean = math.fsum(projected.tolist()) / n
-        deviations = projected - mean
-        return math.fsum((deviations * deviations).tolist()) / (n - 1)
-
     cases = [(name, None) for name in BUILTIN_CONFIGS]
     cases.append(("diamond8_physical", "optimal"))
+    checks, distinct = [], {}
     for name, gains in cases:
         config = load_config(name)
         state = config.build_state()
@@ -279,11 +318,25 @@ def test_streamed_estimates_match_an_exact_two_pass_sum():
             + [side for c in criteria for side in c.sides(table[c.cid])]
         )
         streamed = estimate_variances(state, vectors, n, seed)
-        exact = {}
-        for pulled, estimate in zip(vectors @ np.linalg.cholesky(state.cov), streamed.estimate):
-            key = pulled.tobytes()
-            if key not in exact:
-                exact[key] = exact_variance(pulled)
+        pulled = vectors @ np.linalg.cholesky(state.cov)
+        keys = [row.tobytes() for row in pulled]
+        distinct.update(zip(keys, pulled))
+        checks.append((name, gains, streamed.estimate, keys))
+    rows = np.array(list(distinct.values()))
+
+    def projections():
+        for start in range(0, n, EXACT_CHUNK):
+            yield rows @ normals[start : start + EXACT_CHUNK].T
+
+    means = np.array(exact_row_sums(projections())) / n
+    squares = ((p - means[:, None]) ** 2 for p in projections())
+    exact = dict(zip(distinct, np.array(exact_row_sums(squares)) / (n - 1)))
+    # The digit sums agree with math.fsum on the first row's whole projection.
+    first = normals @ rows[0]
+    assert exact_row_sums([first[None]]) == [math.fsum(first.tolist())]
+
+    for name, gains, estimates, keys in checks:
+        for estimate, key in zip(estimates, keys):
             assert abs(estimate - exact[key]) <= 1e-15 * exact[key], (name, gains)
 
 
