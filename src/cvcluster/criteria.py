@@ -299,6 +299,9 @@ def lhs_curve(criterion: Criterion, q: np.ndarray, rs, gain_mode: str = "unit") 
 # Bisection steps decided per curve evaluation: 2**_LEVELS - 1 midpoints each.
 _LEVELS = 4
 
+# threshold_r's scan grid, built once for every call.
+_SCAN = np.linspace(0.0, 3.0, 61)
+
 
 def threshold_r(criterion: Criterion, q: np.ndarray, gain_mode: str = "unit") -> float | None:
     """Squeezing value where the variance sum crosses its bound.
@@ -319,22 +322,23 @@ def threshold_r(criterion: Criterion, q: np.ndarray, gain_mode: str = "unit") ->
     points are evaluated at once and the bracket then walks down through them.
     """
     bound = vlf_bound(criterion)
-    grid = np.linspace(0.0, 3.0, 61)
-    lhs = lhs_curve(criterion, q, grid[1:], gain_mode)
+    lhs = lhs_curve(criterion, q, _SCAN[1:], gain_mode)
     if np.all(lhs < bound):
         return None
     if np.all(lhs > bound):
         return np.inf
     first = int(np.argmax(lhs <= bound))
-    lo, hi = grid[first], grid[first + 1]
+    lo, hi = _SCAN[first : first + 2].tolist()
     while hi - lo > 1e-6:
-        points = np.array([lo, hi])
+        # Python floats round 0.5 * (a + b) as float64 does, without numpy's
+        # per-scalar overhead.
+        points = [lo, hi]
         for _ in range(_LEVELS):
-            nested = np.empty(2 * len(points) - 1)
-            nested[::2] = points
-            nested[1::2] = 0.5 * (points[:-1] + points[1:])
+            nested = points[:1]
+            for a, b in zip(points, points[1:]):
+                nested += (0.5 * (a + b), b)
             points = nested
-        above = lhs_curve(criterion, q, points[1:-1], gain_mode) > bound
+        above = (lhs_curve(criterion, q, points[1:-1], gain_mode) > bound).tolist()
         i, j = 0, len(points) - 1
         while j - i > 1 and points[j] - points[i] > 1e-6:
             mid = (i + j) // 2
@@ -343,7 +347,7 @@ def threshold_r(criterion: Criterion, q: np.ndarray, gain_mode: str = "unit") ->
             else:
                 j = mid
         lo, hi = points[i], points[j]
-    return float(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 def full_inseparability_report(

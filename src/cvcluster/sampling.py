@@ -15,12 +15,22 @@ z·Lᵀ, and stays the reference route.
 with the number of draws, and never forms an outcome.  A check vector v
 reads v·x = v·(L z) = (Lᵀ v)·z, so the stack of checks V is pulled back
 through the factor once, P = V·L, and every block of normals is projected
-onto P in one product.  That gives the projections of the outcomes onto V,
-draw for draw, up to the order of the sums (rounding of order
-eps·|v|·|L|·|z| per draw), without the per-block product z·Lᵀ, the
-largest one at large n, or the block of outcomes it would fill.  Each
-block's mean and variance are computed in place on its projection, and the
-blocks are merged as a pairwise tree.
+onto P.  That gives the projections of the outcomes onto V, draw for draw,
+up to the order of the sums (rounding of order eps·|v|·|L|·|z| per draw),
+without the per-block product z·Lᵀ, the largest one at large n, or the
+block of outcomes it would fill.  Each block's mean and variance are
+computed in place on its projection, and the blocks are merged as a
+pairwise tree.
+
+A projection is taken in products of at most 1024 draws, each writing its
+columns of one array.  OpenBLAS (0.3.31, two threads) splits a product
+of 2**19 (about 5.2e5) multiply-adds or more over two threads; an 8-mode
+block of 4096 draws on 26 checks is 1.7e6, a 1024-draw slice 4.3e5.
+Between the draws of a stream the split saves no wall time, and its second
+thread spin-waits between calls: on 2-vCPU x86-64, a 10^6-draw estimate on
+``diamond8_physical`` took 0.41 s of wall and 0.82 s of CPU time in one
+product per block, against 0.40 s of each sliced.  Past 64 columns a block
+holds 1024 draws, so it stays one product.
 """
 
 from __future__ import annotations
@@ -46,6 +56,11 @@ __all__ = [
 # Normals per streamed block: 2**16 float64 values, 512 KB, so a block and
 # its projection onto a few dozen checks stay in a 2 MB L2 cache.
 BLOCK_VALUES = 2**16
+
+# Draws per projection product: OpenBLAS keeps it on one thread while
+# checks x columns stay below 512, 31 checks on 16 columns (see the module
+# docstring).
+_PRODUCT_DRAWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +130,20 @@ def _std_error(estimate, n_samples: int):
 def estimate_variance(batch: SampleBatch, coeffs: np.ndarray) -> VarianceEstimate:
     """Unbiased sample variance of the projected outcomes.
 
-    ``coeffs`` is one vector of length 2n or a (k, 2n) stack; a stack is
-    projected in one product, each check's draws along a contiguous row.
+    ``coeffs`` is one vector of length 2n or a (k, 2n) stack, projected in
+    products of at most 1024 draws (see the module docstring) into one
+    array, each check's draws along a contiguous row.
     """
     if batch.n_samples < 2:
         raise ValueError("variance estimation needs at least two samples")
     size = batch.n_samples
-    # The arithmetic of mean() and var(ddof=1), in place on the product this
+    coeffs = np.asarray(coeffs, dtype=float)
+    projected = np.empty(coeffs.shape[:-1] + (size,))
+    for start in range(0, size, _PRODUCT_DRAWS):
+        stop = start + _PRODUCT_DRAWS
+        np.matmul(coeffs, batch.samples[start:stop].T, out=projected[..., start:stop])
+    # The arithmetic of mean() and var(ddof=1), in place on the projection this
     # function owns: no block-sized temporary and no second pass for the mean.
-    projected = np.asarray(coeffs, dtype=float) @ batch.samples.T
     mean = np.add.reduce(projected, axis=-1) / size
     projected -= mean[..., None]
     np.square(projected, out=projected)

@@ -160,6 +160,59 @@ def test_in_place_moments_are_numpys_mean_and_var(k, n, dim, seed):
     assert np.array_equal(coeffs, kept_coeffs)
 
 
+@given(
+    k=st.none() | st.integers(1, 40),
+    n=st.integers(1025, 5000),
+    dim=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sliced_moments_match_numpys_past_one_product(k, n, dim, seed):
+    # Past 1024 draws the projection is taken in several products; an entry
+    # may round differently from one whole product, in its last bits.
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((n, dim)) * rng.uniform(0.01, 100) + rng.uniform(-10, 10)
+    coeffs = rng.standard_normal(dim if k is None else (k, dim))
+    kept_samples, kept_coeffs = samples.copy(), coeffs.copy()
+    est = estimate_variance(sampling.SampleBatch(seed=0, samples=samples), coeffs)
+    projected = coeffs @ samples.T
+    np.testing.assert_allclose(est.mean, projected.mean(-1), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(est.estimate, projected.var(-1, ddof=1), rtol=1e-12, atol=0.0)
+    assert np.array_equal(samples, kept_samples)
+    assert np.array_equal(coeffs, kept_coeffs)
+
+
+def projection_draws(run):
+    """The draws each ``np.matmul`` product covers while ``run()`` runs."""
+    draws = []
+    original = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        draws.append(np.shape(b)[-1])
+        return original(a, b, *args, **kwargs)
+
+    with mock.patch.object(np, "matmul", recording):
+        run()
+    return draws
+
+
+def test_projection_products_cover_at_most_1024_draws():
+    # A 4096-draw product of 26 checks on 16 columns is large enough for
+    # OpenBLAS to split it over two threads, which then spin between calls.
+    config = load_config("diamond8_physical")
+    state, vectors = config.build_state(), check_vectors(config)
+    assert len(vectors) == 26
+    draws = projection_draws(lambda: estimate_variances(state, vectors, 1_000_000, seed=1))
+    assert max(draws) <= 1024
+    assert sum(draws) == 1_000_000
+
+
+def test_wide_blocks_are_projected_in_one_product():
+    # Past 64 columns a block holds 1024 draws, one product's worth.
+    state = vacuum_state(256)
+    draws = projection_draws(lambda: estimate_variances(state, np.eye(512)[:4], 3000, seed=0))
+    assert draws == [1024, 1024, 952]
+
+
 # Rows per streamed block for the 16-column 8-mode states.
 BLOCK_ROWS = sampling.BLOCK_VALUES // 16
 
