@@ -9,7 +9,8 @@ Subcommands::
     sample     Monte Carlo variance estimates with z-scores against the model
 
 :func:`main` loads and checks the config once, ``gains`` section included,
-and hands it to the command, so no command loads it again.
+and hands it to the command, so no command loads it again.  It parses every
+command line with :data:`PARSER`, built once when the module is imported.
 
 Exit codes: 0 on success, 2 for configuration or usage errors, 1 for
 unexpected internal failures.  All structured output is JSON (complex numbers
@@ -354,29 +355,41 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
     blocks = [gram_block(c, terms) for c in criteria]
     bounds = [f"{vlf_bound(c):.12g}" for c in criteria]
     modes = ("unit", "optimal")
-    # curves[criterion, gain mode, grid point].
-    curves = np.array([[lhs_curve(c, q, grid, m) for m in modes] for c, q in zip(criteria, blocks)])
-    curves = curves.reshape(len(criteria), 2, steps)
+    # Criteria with one slot count share a block stack, so each group takes
+    # one lhs_curve and one threshold_r call per gain mode.
+    groups = {}
+    for i, c in enumerate(criteria):
+        groups.setdefault(len(c.gain_names), []).append(i)
+    # curves[criterion, gain mode, grid point]; found[criterion][gain mode].
+    curves = np.empty((len(criteria), len(modes), steps))
+    found = [{} for _ in criteria]
+    for members in groups.values():
+        group = [criteria[i] for i in members]
+        stack = np.stack([blocks[i] for i in members])
+        for k, mode in enumerate(modes):
+            curves[members, k] = lhs_curve(group, stack, grid, mode)
+            for i, value in zip(members, threshold_r(group, stack, mode)):
+                found[i][mode] = value
 
+    # One row per (r, criterion): r, id, both curves, bound.
+    table = np.empty((steps, len(criteria), 5), dtype=object)
+    table[..., 0] = np.array([f"{r:.10g}" for r in grid.tolist()], dtype=object)[:, None]
+    table[..., 1] = [c.cid for c in criteria]
+    table[..., 2:4] = curves.transpose(2, 0, 1)
+    table[..., 4] = bounds
+    rows = "%s,%s,%.12g,%.12g,%s\r\n" * (steps * len(criteria)) % tuple(table.ravel().tolist())
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as handle:
-        handle.write("r,criterion,lhs_unit,lhs_optimal,bound\r\n")
-        for r, rows in zip(grid.tolist(), curves.transpose(2, 0, 1).tolist()):
-            r_text = f"{r:.10g}"
-            handle.writelines(
-                f"{r_text},{c.cid},{lhs_unit:.12g},{lhs_optimal:.12g},{bound}\r\n"
-                for c, (lhs_unit, lhs_optimal), bound in zip(criteria, rows, bounds)
-            )
+        handle.write("r,criterion,lhs_unit,lhs_optimal,bound\r\n" + rows)
 
     experiment = presets.PUBLISHED.get(config.graph_name)
     quoted = experiment.unit_gain_thresholds if experiment is not None else {}
     print(f"graph {label}: unit-gain squeezing thresholds")
     thresholds = []
-    for criterion, q in zip(criteria, blocks):
-        found = {mode: threshold_r(criterion, q, mode) for mode in modes}
+    for criterion, values in zip(criteria, found):
         # inf: the criterion is satisfied nowhere on the scanned grid.
-        never = [mode for mode, value in found.items() if value == np.inf]
-        computed, optimal = (None if value == np.inf else value for value in found.values())
+        never = [mode for mode, value in values.items() if value == np.inf]
+        computed, optimal = (None if value == np.inf else value for value in values.values())
         published = quoted.get(criterion.cid)
         entry = {
             "criterion": criterion.cid,
@@ -393,11 +406,11 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
             )
         thresholds.append(entry)
 
-        if found["unit"] is None:
+        if values["unit"] is None:
             line = f"  {criterion.cid}: satisfied for all r > 0"
         else:
             line = f"  {criterion.cid}: r > {'none' if computed is None else f'{computed:.4f}'}"
-            if found["optimal"] is None:
+            if values["optimal"] is None:
                 line += " (optimal gains: satisfied for all r > 0)"
         if published is not None:
             line += f" [published: {published:.2f}]"
@@ -513,9 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: every main call parses with it.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         # The nearest existing path of --out must be a directory, or the
         # command would fail only when it writes, after all its work.

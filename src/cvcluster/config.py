@@ -87,7 +87,7 @@ class ExperimentConfig:
         """The published inequalities on a builtin graph, the generated ones otherwise."""
         if self.graph_name is None:
             return graph_criteria(self.graph)
-        return presets.builtin_criteria(self.graph_name)
+        return list(presets.builtin_criteria(self.graph_name))
 
 
 def _parse_graph(raw) -> tuple[graphs.Graph, str | None]:

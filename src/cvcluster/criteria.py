@@ -17,6 +17,9 @@ N[b]).  The gain solve reads G of the state covariance.  Curves and thresholds
 in the squeezing parameter r read Q = gram_block(criterion, K), which callers
 project once per criterion, so no 2n x 2n matrix is formed at any r.  A
 threshold's bisection evaluates several levels of midpoints per curve call.
+Both also take a stack: C criteria with one slot count and their blocks
+stacked as (C, 3, S, S) give C curves and C thresholds in one call, each the
+single-criterion result bit for bit.
 """
 
 from __future__ import annotations
@@ -222,14 +225,20 @@ def gram_block(criterion: Criterion, covs: np.ndarray) -> np.ndarray:
     return (block @ covs[..., None, support[:, None], support] @ block.transpose(0, 2, 1)).sum(-3)
 
 
-def _solve_gains(criterion: Criterion, grams: np.ndarray) -> np.ndarray:
-    """Exact minimising gains G[1:, 1:] g = -G[1:, 0], one row per Gram block of a stack."""
+def _solve_gains(criteria: list[Criterion], grams: np.ndarray) -> np.ndarray:
+    """Exact minimising gains G[1:, 1:] g = -G[1:, 0], one row per Gram block of a stack.
+
+    The stack holds the blocks of ``criteria`` in order, an equal run of rows each.
+    """
     try:
         solution = np.linalg.solve(grams[..., 1:, 1:], -grams[..., 1:, :1])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"gain system of criterion {criterion.cid} is singular") from exc
-    if not np.all(np.isfinite(solution)):
-        raise RuntimeError(f"optimal gains of criterion {criterion.cid} are not finite")
+        cids = ", ".join(c.cid for c in criteria)
+        raise RuntimeError(f"gain system of criterion {cids} is singular") from exc
+    finite = np.isfinite(solution).reshape(len(criteria), -1).all(axis=1)
+    if not finite.all():
+        cid = criteria[int(np.argmin(finite))].cid
+        raise RuntimeError(f"optimal gains of criterion {cid} are not finite")
     return solution
 
 
@@ -241,7 +250,7 @@ def optimal_gains_numeric(criterion: Criterion, state: GaussianState) -> dict[st
     (sum C^T S C) g = -sum C^T S c(0), summed over both sides with S the
     state covariance.  A singular system or a non-finite solution raises.
     """
-    solution = _solve_gains(criterion, gram_block(criterion, state.cov))
+    solution = _solve_gains([criterion], gram_block(criterion, state.cov))
     return {name: float(g) for name, g in zip(criterion.gain_names, solution)}
 
 
@@ -275,25 +284,57 @@ def resolve_gains(
     return {c.cid: {name: overrides.get(name, 1.0) for name in c.gain_names} for c in criteria}
 
 
-def lhs_curve(criterion: Criterion, q: np.ndarray, rs, gain_mode: str = "unit") -> np.ndarray:
-    """Variance sum of the criterion at every squeezing value in ``rs``.
+def _stack(criteria, q: np.ndarray) -> tuple[list[Criterion], np.ndarray, bool]:
+    """Criteria as a list, Q as its (C, 3, S, S) stack, and whether one criterion was given.
+
+    One criterion takes its (3, S, S) block stack Q; a sequence of C criteria
+    with one slot count takes their blocks stacked as (C, 3, S, S).
+    """
+    single = isinstance(criteria, Criterion)
+    criteria = [criteria] if single else list(criteria)
+    sizes = {1 + len(c.gain_names) for c in criteria}
+    if len(sizes) != 1:
+        raise ValueError(f"a criteria stack needs one slot count, got block sizes {sorted(sizes)}")
+    size = sizes.pop()
+    shape = (3, size, size) if single else (len(criteria), 3, size, size)
+    if q.shape != shape:
+        raise ValueError(f"expected the {shape} Gram block stack, got shape {q.shape}")
+    return criteria, q.reshape(len(criteria), 3, size, size), single
+
+
+def _check_gain_mode(gain_mode: str) -> None:
+    if gain_mode not in ("unit", "optimal"):
+        raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
+
+
+def _curves(criteria: list[Criterion], q: np.ndarray, rs: np.ndarray, gain_mode: str) -> np.ndarray:
+    """(C, m) variance sums of the (C, 3, S, S) stack at rs, shared (m,) or per criterion (C, m).
+
+    Each criterion's rows go through the same products as a stack of one.
+    """
+    count, _, size, _ = q.shape
+    weights = np.exp(np.multiply.outer(rs, [-2.0, 2.0, 0.0]))
+    grams = (weights @ q.reshape(count, 3, -1)).reshape(-1, size, size)
+    vecs = np.ones(grams.shape[:2])
+    if gain_mode == "optimal":
+        vecs[:, 1:] = _solve_gains(criteria, grams)
+    return np.einsum("mi,mij,mj->m", vecs, grams, vecs).reshape(count, -1)
+
+
+def lhs_curve(criteria, q: np.ndarray, rs, gain_mode: str = "unit") -> np.ndarray:
+    """Variance sum of a criterion, or of a stack of criteria, at every squeezing value in ``rs``.
 
     ``q`` is the criterion's projected stack Q = gram_block(criterion, K) of the
     :func:`cvcluster.gaussian.squeezing_terms` stack K, shape (3, 1 + slots,
-    1 + slots); ``gain_mode`` "unit" sets every gain to 1, "optimal" solves
-    them at each r.
+    1 + slots), and the curve has one value per r.  C criteria with one slot
+    count take their blocks stacked as (C, 3, 1 + slots, 1 + slots) and give
+    (C, len(rs)) curves, each row the single-criterion curve bit for bit.
+    ``gain_mode`` "unit" sets every gain to 1, "optimal" solves them at each r.
     """
-    if gain_mode not in ("unit", "optimal"):
-        raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
-    size = 1 + len(criterion.gain_names)
-    if q.shape != (3, size, size):
-        raise ValueError(f"expected the (3, {size}, {size}) Gram block stack, got shape {q.shape}")
-    weights = np.exp(np.multiply.outer(np.asarray(rs, dtype=float), [-2.0, 2.0, 0.0]))
-    grams = (weights @ q.reshape(3, -1)).reshape(-1, size, size)
-    vecs = np.ones(grams.shape[:2])
-    if gain_mode == "optimal":
-        vecs[:, 1:] = _solve_gains(criterion, grams)
-    return np.einsum("mi,mij,mj->m", vecs, grams, vecs)
+    criteria, q, single = _stack(criteria, q)
+    _check_gain_mode(gain_mode)
+    curves = _curves(criteria, q, np.asarray(rs, dtype=float), gain_mode)
+    return curves[0] if single else curves
 
 
 # Bisection steps decided per curve evaluation: 2**_LEVELS - 1 midpoints each.
@@ -303,8 +344,8 @@ _LEVELS = 4
 _SCAN = np.linspace(0.0, 3.0, 61)
 
 
-def threshold_r(criterion: Criterion, q: np.ndarray, gain_mode: str = "unit") -> float | None:
-    """Squeezing value where the variance sum crosses its bound.
+def threshold_r(criteria, q: np.ndarray, gain_mode: str = "unit") -> float | None | list:
+    """Squeezing value where the variance sum crosses its bound, per criterion of a stack.
 
     Scans r over (0, 3] in steps of 0.05 and bisects the first sign change of
     ``lhs(r) - bound`` to within 1e-6.  Returns None when the criterion is
@@ -314,40 +355,56 @@ def threshold_r(criterion: Criterion, q: np.ndarray, gain_mode: str = "unit") ->
     ``sweep`` writes 3.8e-7 and a later failure goes unreported.  The bound
     is :func:`vlf_bound`, which does not depend on the gains.
 
-    ``q`` is the criterion's projected stack gram_block(criterion, K), as
-    for :func:`lhs_curve`; the scan and every bisection step read it.  The
-    bisection runs ``_LEVELS`` steps per curve evaluation: the next midpoints
-    of a bracket [lo, hi] lie on a grid nested by repeated ``0.5 * (a + b)``,
-    the same floats one step at a time would reach, so all of its interior
-    points are evaluated at once and the bracket then walks down through them.
+    ``criteria`` and ``q`` are one criterion and its (3, S, S) stack, or C
+    criteria with one slot count and their (C, 3, S, S) stack, as for
+    :func:`lhs_curve`; a stack gives a list of C thresholds, each the one
+    its criterion alone gives.  One curve call scans every criterion, and
+    each further call advances every open bracket by ``_LEVELS`` bisection
+    steps: the next midpoints of a bracket [lo, hi] lie on a grid nested by
+    repeated ``0.5 * (a + b)``, the same floats one step at a time would
+    reach, so all of its interior points are evaluated at once and the
+    bracket then walks down through them on its own decisions.
     """
-    bound = vlf_bound(criterion)
-    lhs = lhs_curve(criterion, q, _SCAN[1:], gain_mode)
-    if np.all(lhs < bound):
-        return None
-    if np.all(lhs > bound):
-        return np.inf
-    first = int(np.argmax(lhs <= bound))
-    lo, hi = _SCAN[first : first + 2].tolist()
-    while hi - lo > 1e-6:
-        # Python floats round 0.5 * (a + b) as float64 does, without numpy's
-        # per-scalar overhead.
-        points = [lo, hi]
-        for _ in range(_LEVELS):
-            nested = points[:1]
-            for a, b in zip(points, points[1:]):
-                nested += (0.5 * (a + b), b)
-            points = nested
-        above = (lhs_curve(criterion, q, points[1:-1], gain_mode) > bound).tolist()
-        i, j = 0, len(points) - 1
-        while j - i > 1 and points[j] - points[i] > 1e-6:
-            mid = (i + j) // 2
-            if above[mid - 1]:
-                i = mid
-            else:
-                j = mid
-        lo, hi = points[i], points[j]
-    return 0.5 * (lo + hi)
+    criteria, q, single = _stack(criteria, q)
+    _check_gain_mode(gain_mode)
+    bounds = np.array([vlf_bound(c) for c in criteria])
+    lhs = _curves(criteria, q, _SCAN[1:], gain_mode)
+    found = [None] * len(criteria)
+    brackets = {}
+    for k, (row, bound) in enumerate(zip(lhs, bounds)):
+        if np.all(row > bound):
+            found[k] = np.inf
+        elif not np.all(row < bound):
+            first = int(np.argmax(row <= bound))
+            brackets[k] = _SCAN[first : first + 2].tolist()
+    active = [k for k, (lo, hi) in brackets.items() if hi - lo > 1e-6]
+    while active:
+        grids = []
+        for k in active:
+            # Python floats round 0.5 * (a + b) as float64 does, without
+            # numpy's per-scalar overhead.
+            points = brackets[k]
+            for _ in range(_LEVELS):
+                nested = points[:1]
+                for a, b in zip(points, points[1:]):
+                    nested += (0.5 * (a + b), b)
+                points = nested
+            grids.append(points)
+        midpoints = np.array([points[1:-1] for points in grids])
+        curves = _curves([criteria[k] for k in active], q[active], midpoints, gain_mode)
+        for k, points, above in zip(active, grids, (curves > bounds[active, None]).tolist()):
+            i, j = 0, len(points) - 1
+            while j - i > 1 and points[j] - points[i] > 1e-6:
+                mid = (i + j) // 2
+                if above[mid - 1]:
+                    i = mid
+                else:
+                    j = mid
+            brackets[k] = [points[i], points[j]]
+        active = [k for k in active if brackets[k][1] - brackets[k][0] > 1e-6]
+    for k, (lo, hi) in brackets.items():
+        found[k] = 0.5 * (lo + hi)
+    return found[0] if single else found
 
 
 def full_inseparability_report(

@@ -138,9 +138,13 @@ def builtin_graph(name: str) -> graphs.Graph:
     return PUBLISHED[name].graph
 
 
-def builtin_criteria(name: str) -> list[Criterion]:
-    """The published inequalities of a builtin graph, under their published labels."""
-    return graph_criteria(builtin_graph(name), **PUBLISHED[name].labels)
+@lru_cache(maxsize=None)
+def builtin_criteria(name: str) -> tuple[Criterion, ...]:
+    """The published inequalities of a builtin graph, under their published labels.
+
+    Built once per name: a criterion is frozen and its affine form read-only.
+    """
+    return tuple(graph_criteria(builtin_graph(name), **PUBLISHED[name].labels))
 
 
 def nullifier_vectors(graph: graphs.Graph) -> list[np.ndarray]:

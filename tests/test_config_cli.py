@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from importlib import resources
 
 import numpy as np
@@ -10,7 +11,7 @@ from cvcluster.cli import main
 from cvcluster.config import ConfigError, load_config, parse_config
 from cvcluster.criteria import evaluate, optimal_gains_numeric
 
-from expected import CHAIN8_UNITARY, DIAMOND8_UNITARY
+from expected import CHAIN8_UNITARY, CUSTOM64_CONFIG, DIAMOND8_UNITARY
 
 
 def read_complex(path):
@@ -574,6 +575,37 @@ def test_round_trip_is_deterministic(tmp_path):
         assert main(["criteria", "--config", "diamond8", "--out", out]) == 0
     for name in ("unitary.json", "gram_factor.json", "simulate.json", "criteria.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_one_process_rewrites_what_its_first_calls_wrote(tmp_path, capsys):
+    # main parses with one parser per process and a builtin's criteria are
+    # built once per name: no call may see state left by an earlier one,
+    # a version request, a help request or a usage error included.
+    custom = tmp_path / "custom64.json"
+    custom.write_text(json.dumps({**CUSTOM64_CONFIG, "gains": "optimal"}))
+    commands = [
+        ["compile"],
+        ["simulate"],
+        ["criteria"],
+        ["criteria", "--gains", "optimal"],
+        ["sweep"],
+        ["sample", "--n", "1000", "--seed", "3"],
+    ]
+    runs = [(config, command) for config in ("diamond8_physical", str(custom)) for command in commands]
+    first = {}
+    for _ in range(3):
+        for i, (config, command) in enumerate(runs):
+            out = tmp_path / "out" / str(i)
+            shutil.rmtree(out, ignore_errors=True)
+            assert main([command[0], "--config", config, "--out", str(out), *command[1:]]) == 0
+            written = (capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()})
+            assert first.setdefault(i, written) == written, (config, *command)
+        for argv, code in [(["--version"], 0), (["sweep", "--help"], 0), (["sweep"], 2)]:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == code, argv
+        assert main(["criteria", "--config", "missing", "--out", str(tmp_path)]) == 2
+        capsys.readouterr()
 
 
 def test_unknown_config_exit_code(tmp_path):

@@ -428,6 +428,39 @@ class TestThresholds:
         assert cli.main(argv) == 0
         assert projections == [c.cid for c in DIAMOND]
 
+    @pytest.mark.parametrize("config, calls", [("diamond8_physical", 6), ("linear8", 4)])
+    def test_sweep_calls_threshold_r_once_per_block_size_and_gain_mode(
+        self, monkeypatch, tmp_path, config, calls
+    ):
+        # Criteria with one slot count share a block stack: diamond8 has 3
+        # slot counts and linear8 2, each thresholded in both gain modes.
+        stacks = []
+        original = criteria_module.threshold_r
+
+        def counted(criteria, q, gain_mode):
+            stacks.append(([c.cid for c in criteria], gain_mode))
+            return original(criteria, q, gain_mode)
+
+        for module in (criteria_module, cli):
+            monkeypatch.setattr(module, "threshold_r", counted)
+        argv = ["sweep", "--config", config, "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(stacks) == calls
+        cids = [c.cid for c in parse_config(json.loads(builtin_json(config))).criteria()]
+        for gain_mode in ("unit", "optimal"):
+            thresholded = [cid for group, mode in stacks if mode == gain_mode for cid in group]
+            assert sorted(thresholded) == sorted(cids), gain_mode
+
+    def test_a_stack_needs_one_slot_count_and_its_blocks(self):
+        # 4a has 2 slots, 4c has 3.
+        q = np.stack([gram_block(c, DIAMOND_TERMS) for c in DIAMOND[:2]])
+        with pytest.raises(ValueError, match="one slot count"):
+            lhs_curve(DIAMOND[1:3], q, [0.3], "unit")
+        with pytest.raises(ValueError, match="Gram block"):
+            threshold_r(DIAMOND[:2], q[:1], "unit")
+        with pytest.raises(ValueError, match="Gram block"):
+            threshold_r(DIAMOND[:1], q[0], "unit")
+
     def test_a_covariance_stack_is_not_a_gram_block(self):
         # The (3, 2n, 2n) stack K must be projected first: 1 + slots < 2n.
         for c, terms in [(LINEAR[0], LINEAR_TERMS), (DIAMOND[4], DIAMOND_TERMS)]:
@@ -525,13 +558,16 @@ THRESHOLD_CONFIGS = {
 }
 
 
+def builtin_json(name):
+    return resources.files("cvcluster").joinpath(f"configs/{name}.json").read_text()
+
+
 def threshold_config(label):
     """A THRESHOLD_CONFIGS entry, or custom64, parsed."""
     if label == "custom64":
         return parse_config(CUSTOM64_CONFIG)
     spec = THRESHOLD_CONFIGS[label]
-    base = spec.get("base", label)
-    raw = json.loads(resources.files("cvcluster").joinpath(f"configs/{base}.json").read_text())
+    raw = json.loads(builtin_json(spec.get("base", label)))
     if "eta" in spec:
         raw["loss"] = {"eta": spec["eta"]}
     return parse_config(raw)
@@ -567,37 +603,58 @@ def test_thresholds_match_closed_form(label):
         assert abs(threshold_r(c, gram_block(c, terms), "unit") - expected) < 1e-6, c.cid
 
 
+def block_size_groups(criteria, terms):
+    """Each slot count's criteria with their single blocks and their (C, 3, S, S) stack."""
+    groups = {}
+    for c in criteria:
+        groups.setdefault(len(c.gain_names), []).append(c)
+    for group in groups.values():
+        blocks = [gram_block(c, terms) for c in group]
+        yield group, blocks, np.stack(blocks)
+
+
 @pytest.mark.parametrize("label", [*THRESHOLD_CONFIGS, "custom64"])
 def test_batched_bisection_equals_the_sequential_one(label):
     # The nested grid holds the sequential midpoints bitwise, so the
-    # thresholds agree exactly, in both gain modes.
+    # thresholds agree exactly, in both gain modes; a stack of criteria with
+    # one slot count gives each criterion's curve and threshold bit for bit.
     config = threshold_config(label)
     terms = squeezing_terms(config.build_unitary(), config.pattern.orientations, config.loss)
-    for c in config.criteria():
-        q = gram_block(c, terms)
+    rs = np.linspace(0.0, 3.0, 61)
+    for group, blocks, stack in block_size_groups(config.criteria(), terms):
         for gain_mode in ("unit", "optimal"):
-            batched = threshold_r(c, q, gain_mode)
-            assert batched == sequential_threshold(c, q, gain_mode), (c.cid, gain_mode)
+            stacked = threshold_r(group, stack, gain_mode)
+            curves = lhs_curve(group, stack, rs, gain_mode)
+            assert len(stacked) == len(group) and curves.shape == (len(group), len(rs))
+            for c, q, value, curve in zip(group, blocks, stacked, curves):
+                assert threshold_r(c, q, gain_mode) == value, (c.cid, gain_mode)
+                assert value == sequential_threshold(c, q, gain_mode), (c.cid, gain_mode)
+                assert np.array_equal(curve, lhs_curve(c, q, rs, gain_mode)), (c.cid, gain_mode)
 
 
 @given(case=graph_cases(), data=st.data())
 def test_batched_bisection_matches_the_sequential_one_on_random_graphs(case, data):
     # Under per-mode loss a midpoint may sit within rounding of the bound, so
-    # the bisection may take the other side there: equal to within 1e-6.
+    # the bisection may take the other side there: equal to within 1e-6.  The
+    # stacked route takes the same sides as the single one: equal exactly.
     criteria, unitary = case
     n = len(unitary)
     etas = data.draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
+    rs = data.draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8))
     orientations = presets.experiment_pattern(0.0, n).orientations
     terms = squeezing_terms(unitary, orientations, LossModel(tuple(etas)))
-    for c in criteria:
-        q = gram_block(c, terms)
+    for group, blocks, stack in block_size_groups(criteria, terms):
         for gain_mode in ("unit", "optimal"):
-            batched = threshold_r(c, q, gain_mode)
-            sequential = sequential_threshold(c, q, gain_mode)
-            if sequential is None or sequential == np.inf:
-                assert batched == sequential, (c.cid, gain_mode)
-            else:
-                assert abs(batched - sequential) <= 1e-6, (c.cid, gain_mode)
+            stacked = threshold_r(group, stack, gain_mode)
+            curves = lhs_curve(group, stack, rs, gain_mode)
+            for c, q, batched, curve in zip(group, blocks, stacked, curves):
+                assert threshold_r(c, q, gain_mode) == batched, (c.cid, gain_mode)
+                assert np.array_equal(curve, lhs_curve(c, q, rs, gain_mode)), (c.cid, gain_mode)
+                sequential = sequential_threshold(c, q, gain_mode)
+                if sequential is None or sequential == np.inf:
+                    assert batched == sequential, (c.cid, gain_mode)
+                else:
+                    assert abs(batched - sequential) <= 1e-6, (c.cid, gain_mode)
 
 
 class TestReports:
