@@ -234,7 +234,7 @@ def _solve_gains(criteria: list[Criterion], grams: np.ndarray) -> np.ndarray:
         solution = np.linalg.solve(grams[..., 1:, 1:], -grams[..., 1:, :1])[..., 0]
     except np.linalg.LinAlgError as exc:
         cids = ", ".join(c.cid for c in criteria)
-        raise RuntimeError(f"gain system of criterion {cids} is singular") from exc
+        raise RuntimeError(f"a gain system of criterion {cids} is singular") from exc
     finite = np.isfinite(solution).reshape(len(criteria), -1).all(axis=1)
     if not finite.all():
         cid = criteria[int(np.argmin(finite))].cid

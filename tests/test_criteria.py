@@ -452,7 +452,7 @@ class TestThresholds:
             assert sorted(thresholded) == sorted(cids), gain_mode
 
     def test_a_stack_needs_one_slot_count_and_its_blocks(self):
-        # 4a has 2 slots, 4c has 3.
+        # 4a and 4b have 2 slots, 4c has 3.
         q = np.stack([gram_block(c, DIAMOND_TERMS) for c in DIAMOND[:2]])
         with pytest.raises(ValueError, match="one slot count"):
             lhs_curve(DIAMOND[1:3], q, [0.3], "unit")
@@ -498,6 +498,19 @@ class TestLhsCurve:
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
             lhs_curve(LINEAR[0], gram_block(LINEAR[0], LINEAR_TERMS), [0.3], "tuned")
+
+    def test_a_failed_gain_solve_in_a_stack_names_its_criteria(self):
+        # 4c and 4d both have 3 slots.
+        group = DIAMOND[2:4]
+        stack = np.stack([gram_block(c, DIAMOND_TERMS) for c in group])
+        not_finite = stack.copy()
+        not_finite[1, 2, 1:, :1] = np.nan
+        with pytest.raises(RuntimeError, match="optimal gains of criterion 4d are not finite"):
+            lhs_curve(group, not_finite, [0.3, 0.6], "optimal")
+        singular = stack.copy()
+        singular[0] = 0.0
+        with pytest.raises(RuntimeError, match="gain system of criterion 4c, 4d is singular"):
+            threshold_r(group, singular, "optimal")
 
     def test_peak_memory_of_a_128_mode_curve_is_under_1_mb(self):
         # A criterion's sides touch only the modes of N[a] and N[b], so its
