@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cvcluster import network
+from cvcluster import cli, network
 from cvcluster.cli import _write_json, main
 from cvcluster.gaussian import NOISE_TERM
 
@@ -28,6 +29,9 @@ from expected import (
 )
 
 SPECIAL_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e300]
+# Run lengths short enough that the test arrays span several runs, which then
+# end mid-row, at an array's last item and where several levels close.
+SHORT_RUNS = [1, 2, 3, 7]
 
 
 def tolist_form(payload):
@@ -50,6 +54,15 @@ def written(payload) -> bytes:
 
 def json_bytes(payload) -> bytes:
     return (json.dumps(tolist_form(payload), indent=2, sort_keys=True) + "\n").encode()
+
+
+def assert_written_as_json_dump(payload):
+    """The emitter writes ``payload`` as json does, in its own runs and in short ones."""
+    expected = json_bytes(payload)
+    assert written(payload) == expected
+    for run in SHORT_RUNS:
+        with mock.patch.object(cli, "_WRITE_RUN", run):
+            assert written(payload) == expected, f"runs of {run} items"
 
 
 finite = st.one_of(
@@ -79,7 +92,7 @@ def nested_payloads(draw):
 
 @given(payload=nested_payloads())
 def test_emitter_writes_the_bytes_of_json_dump(payload):
-    assert written(payload) == json_bytes(payload)
+    assert_written_as_json_dump(payload)
 
 
 @pytest.mark.parametrize(
@@ -96,7 +109,7 @@ def test_emitter_writes_the_bytes_of_json_dump(payload):
 )
 def test_emitter_edge_shapes_and_dtypes(array):
     payload = {"matrix": array, "rows": [array, {"deep": array}]}
-    assert written(payload) == json_bytes(payload)
+    assert_written_as_json_dump(payload)
 
 
 def test_non_finite_entries_are_spelled_as_json_spells_them():
@@ -121,7 +134,7 @@ def test_emitter_writes_structured_rows_as_json_dump(rows, table, deep):
     # each row its fields in order: ints, json-escaped strings and floats.
     payload = {"nullifiers": [{"squeezed_terms": rows, "mode": 1}] * table, "m": deep}
     payload["rows"] = rows
-    assert written(payload) == json_bytes(payload)
+    assert_written_as_json_dump(payload)
 
 
 def test_structured_fields_must_be_numbers_or_strings():
@@ -144,10 +157,38 @@ def test_emitter_peak_memory_is_a_few_times_the_file(tmp_path):
     assert peak <= 3.5 * path.stat().st_size
 
 
+def test_emitter_peak_memory_does_not_grow_with_the_array(tmp_path):
+    # Each array goes out in runs of at most cli._WRITE_RUN items, so the
+    # emitter holds one run's text whatever the size of the array.
+    rng = np.random.default_rng(1)
+    peaks, sizes = [], []
+    for rows in (256, 512):
+        path = tmp_path / f"out{rows}.json"
+        payload = {"matrix": rng.standard_normal((rows, 256, 2))}
+        tracemalloc.start()
+        try:
+            _write_json(path, payload)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(path.stat().st_size)
+    assert max(peaks) <= 1.25 * min(peaks)
+    assert max(peaks) < min(sizes)
+
+
 @pytest.mark.parametrize("dtype", [complex, int, bool])
 def test_arrays_that_are_not_real_floats_are_rejected(dtype):
     with pytest.raises(TypeError):
         written({"matrix": np.eye(2, dtype=dtype)})
+
+
+def test_a_rejected_payload_writes_no_file(tmp_path):
+    # The valid matrix sorts first, so a streaming writer would reach it
+    # before the bad array; every dtype is checked before the file opens.
+    path = tmp_path / "out" / "out.json"
+    with pytest.raises(TypeError):
+        _write_json(path, {"a_matrix": np.eye(300), "z_bad": np.eye(2, dtype=complex)})
+    assert not path.exists()
 
 
 def test_a_string_that_reads_as_the_array_placeholder_is_rejected():
