@@ -383,27 +383,16 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
     blocks = [gram_block(c, terms) for c in criteria]
     bounds = [f"{vlf_bound(c):.12g}" for c in criteria]
     modes = ("unit", "optimal")
-    # Criteria with one slot count share a block stack, so each group takes
-    # one lhs_curve and one threshold_r call per gain mode.
-    groups = {}
-    for i, c in enumerate(criteria):
-        groups.setdefault(len(c.gain_names), []).append(i)
-    # curves[criterion, gain mode, grid point]; found[criterion][gain mode].
-    curves = np.empty((len(criteria), len(modes), steps))
-    found = [{} for _ in criteria]
-    for members in groups.values():
-        group = [criteria[i] for i in members]
-        stack = np.stack([blocks[i] for i in members])
-        for k, mode in enumerate(modes):
-            curves[members, k] = lhs_curve(group, stack, grid, mode)
-            for i, value in zip(members, threshold_r(group, stack, mode)):
-                found[i][mode] = value
+    # curves[gain mode, criterion, grid point]; found[criterion][gain mode].
+    curves = np.array([lhs_curve(criteria, blocks, grid, mode) for mode in modes])
+    crossings = [threshold_r(criteria, blocks, mode) for mode in modes]
+    found = [dict(zip(modes, values)) for values in zip(*crossings)]
 
     # One row per (r, criterion): r, id, both curves, bound.
     table = np.empty((steps, len(criteria), 5), dtype=object)
     table[..., 0] = np.array([f"{r:.10g}" for r in grid.tolist()], dtype=object)[:, None]
     table[..., 1] = [c.cid for c in criteria]
-    table[..., 2:4] = curves.transpose(2, 0, 1)
+    table[..., 2:4] = curves.transpose(2, 1, 0)
     table[..., 4] = bounds
     rows = "%s,%s,%.12g,%.12g,%s\r\n" * (steps * len(criteria)) % tuple(table.ravel().tolist())
     out.mkdir(parents=True, exist_ok=True)

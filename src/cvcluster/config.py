@@ -92,10 +92,9 @@ class ExperimentConfig:
 
 def _parse_graph(raw) -> tuple[graphs.Graph, str | None]:
     if isinstance(raw, str):
-        try:
-            return presets.builtin_graph(raw), raw
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if raw not in presets.PUBLISHED:
+            raise ConfigError(f"unknown builtin graph {raw!r}")
+        return presets.PUBLISHED[raw].graph, raw
     if isinstance(raw, Mapping):
         if "n" not in raw or "edges" not in raw:
             raise ConfigError("explicit graph needs 'n' and 'edges'")
@@ -213,7 +212,8 @@ def parse_config(raw: Mapping) -> ExperimentConfig:
     if "squeeze" not in raw:
         raise ConfigError("config needs a 'squeeze' section")
     pattern = _parse_pattern(raw["squeeze"], graph.n)
-    if name is not None and pattern.orientations != presets.experiment_pattern(0.0).orientations:
+    wired = SqueezePattern.alternating(graph.n, 0.0).orientations
+    if name is not None and pattern.orientations != wired:
         raise ConfigError(f"builtin graph {name!r} is wired for orientations x, p, x, p, ...")
     if "loss" not in raw:
         raise ConfigError("config needs a 'loss' section ('eta' or 'effective_r')")

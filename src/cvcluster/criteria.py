@@ -17,9 +17,9 @@ N[b]).  The gain solve reads G of the state covariance.  Curves and thresholds
 in the squeezing parameter r read Q = gram_block(criterion, K), which callers
 project once per criterion, so no 2n x 2n matrix is formed at any r.  A
 threshold's bisection evaluates several levels of midpoints per curve call.
-Both also take a stack: C criteria with one slot count and their blocks
-stacked as (C, 3, S, S) give C curves and C thresholds in one call, each the
-single-criterion result bit for bit.
+Both take a list of criteria and a list of their blocks, and stack the
+criteria that share a slot count, so each stack is one product per curve
+call and each row reads the bits a stack of one would.
 """
 
 from __future__ import annotations
@@ -171,10 +171,8 @@ def graph_criteria(graph: graphs.Graph, order=None, slot_names=None, ties=None) 
     ]
 
 
-def unit_gains(criteria: Iterable[Criterion] | Criterion) -> dict[str, float]:
-    """All gain slots of one or several criteria set to 1."""
-    if isinstance(criteria, Criterion):
-        criteria = [criteria]
+def unit_gains(criteria: Iterable[Criterion]) -> dict[str, float]:
+    """All gain slots of the criteria set to 1."""
     return {name: 1.0 for c in criteria for name in c.gain_names}
 
 
@@ -284,27 +282,25 @@ def resolve_gains(
     return {c.cid: {name: overrides.get(name, 1.0) for name in c.gain_names} for c in criteria}
 
 
-def _stack(criteria, q: np.ndarray) -> tuple[list[Criterion], np.ndarray, bool]:
-    """Criteria as a list, Q as its (C, 3, S, S) stack, and whether one criterion was given.
+def _stacks(criteria, blocks, gain_mode: str) -> list:
+    """The criteria grouped by slot count: (indices, criteria, (C, 3, S, S) block stack).
 
-    One criterion takes its (3, S, S) block stack Q; a sequence of C criteria
-    with one slot count takes their blocks stacked as (C, 3, S, S).
+    Checks the gain mode, and that each block is its criterion's (3, S, S) Gram
+    block stack, S = 1 + slots.
     """
-    single = isinstance(criteria, Criterion)
-    criteria = [criteria] if single else list(criteria)
-    sizes = {1 + len(c.gain_names) for c in criteria}
-    if len(sizes) != 1:
-        raise ValueError(f"a criteria stack needs one slot count, got block sizes {sorted(sizes)}")
-    size = sizes.pop()
-    shape = (3, size, size) if single else (len(criteria), 3, size, size)
-    if q.shape != shape:
-        raise ValueError(f"expected the {shape} Gram block stack, got shape {q.shape}")
-    return criteria, q.reshape(len(criteria), 3, size, size), single
-
-
-def _check_gain_mode(gain_mode: str) -> None:
+    if len(blocks) != len(criteria):
+        raise ValueError(f"need a Gram block per criterion, got {len(blocks)} for {len(criteria)}")
+    groups = {}
+    for i, (c, q) in enumerate(zip(criteria, blocks)):
+        shape = (3, 1 + len(c.gain_names), 1 + len(c.gain_names))
+        if np.shape(q) != shape:
+            raise ValueError(f"expected the {shape} Gram block of {c.cid}, got shape {np.shape(q)}")
+        groups.setdefault(shape, []).append(i)
     if gain_mode not in ("unit", "optimal"):
         raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
+    return [
+        (m, [criteria[i] for i in m], np.stack([blocks[i] for i in m])) for m in groups.values()
+    ]
 
 
 def _curves(criteria: list[Criterion], q: np.ndarray, rs: np.ndarray, gain_mode: str) -> np.ndarray:
@@ -321,20 +317,20 @@ def _curves(criteria: list[Criterion], q: np.ndarray, rs: np.ndarray, gain_mode:
     return np.einsum("mi,mij,mj->m", vecs, grams, vecs).reshape(count, -1)
 
 
-def lhs_curve(criteria, q: np.ndarray, rs, gain_mode: str = "unit") -> np.ndarray:
-    """Variance sum of a criterion, or of a stack of criteria, at every squeezing value in ``rs``.
+def lhs_curve(criteria, blocks, rs, gain_mode: str = "unit") -> np.ndarray:
+    """(C, len(rs)) variance sums of C criteria at every squeezing value in ``rs``.
 
-    ``q`` is the criterion's projected stack Q = gram_block(criterion, K) of the
-    :func:`cvcluster.gaussian.squeezing_terms` stack K, shape (3, 1 + slots,
-    1 + slots), and the curve has one value per r.  C criteria with one slot
-    count take their blocks stacked as (C, 3, 1 + slots, 1 + slots) and give
-    (C, len(rs)) curves, each row the single-criterion curve bit for bit.
-    ``gain_mode`` "unit" sets every gain to 1, "optimal" solves them at each r.
+    ``blocks`` holds each criterion's projected stack Q = gram_block(criterion,
+    K) of the :func:`cvcluster.gaussian.squeezing_terms` stack K, shape
+    (3, 1 + slots, 1 + slots).  ``gain_mode`` "unit" sets every gain to 1,
+    "optimal" solves them at each r.
     """
-    criteria, q, single = _stack(criteria, q)
-    _check_gain_mode(gain_mode)
-    curves = _curves(criteria, q, np.asarray(rs, dtype=float), gain_mode)
-    return curves[0] if single else curves
+    stacks = _stacks(criteria, blocks, gain_mode)
+    rs = np.asarray(rs, dtype=float)
+    curves = np.empty((len(criteria), rs.size))
+    for members, group, q in stacks:
+        curves[members] = _curves(group, q, rs, gain_mode)
+    return curves
 
 
 # Bisection steps decided per curve evaluation: 2**_LEVELS - 1 midpoints each.
@@ -344,29 +340,35 @@ _LEVELS = 4
 _SCAN = np.linspace(0.0, 3.0, 61)
 
 
-def threshold_r(criteria, q: np.ndarray, gain_mode: str = "unit") -> float | None | list:
-    """Squeezing value where the variance sum crosses its bound, per criterion of a stack.
+def threshold_r(criteria, blocks, gain_mode: str = "unit") -> list:
+    """Squeezing value where each criterion's variance sum crosses its bound.
 
     Scans r over (0, 3] in steps of 0.05 and bisects the first sign change of
-    ``lhs(r) - bound`` to within 1e-6.  Returns None when the criterion is
+    ``lhs(r) - bound`` to within 1e-6.  A criterion's value is None when it is
     satisfied on the whole grid and inf when it is satisfied nowhere on it,
     as under heavy loss.  Only the first crossing is reported: with per-mode
     efficiencies the optimal-gain curve starts exactly at the bound, so
     ``sweep`` writes 3.8e-7 and a later failure goes unreported.  The bound
     is :func:`vlf_bound`, which does not depend on the gains.
 
-    ``criteria`` and ``q`` are one criterion and its (3, S, S) stack, or C
-    criteria with one slot count and their (C, 3, S, S) stack, as for
-    :func:`lhs_curve`; a stack gives a list of C thresholds, each the one
-    its criterion alone gives.  One curve call scans every criterion, and
-    each further call advances every open bracket by ``_LEVELS`` bisection
-    steps: the next midpoints of a bracket [lo, hi] lie on a grid nested by
-    repeated ``0.5 * (a + b)``, the same floats one step at a time would
-    reach, so all of its interior points are evaluated at once and the
-    bracket then walks down through them on its own decisions.
+    ``criteria`` and ``blocks`` are as for :func:`lhs_curve`.  One curve call
+    scans every criterion of a slot count, and each further call advances
+    every open bracket by ``_LEVELS`` bisection steps: the next midpoints of a
+    bracket [lo, hi] lie on a grid nested by repeated ``0.5 * (a + b)``, the
+    same floats one step at a time would reach, so all of its interior points
+    are evaluated at once and the bracket then walks down through them on its
+    own decisions.
     """
-    criteria, q, single = _stack(criteria, q)
-    _check_gain_mode(gain_mode)
+    stacks = _stacks(criteria, blocks, gain_mode)
+    found = [None] * len(criteria)
+    for members, group, q in stacks:
+        for i, value in zip(members, _thresholds(group, q, gain_mode)):
+            found[i] = value
+    return found
+
+
+def _thresholds(criteria: list[Criterion], q: np.ndarray, gain_mode: str) -> list:
+    """:func:`threshold_r` of criteria with one slot count and their (C, 3, S, S) stack."""
     bounds = np.array([vlf_bound(c) for c in criteria])
     lhs = _curves(criteria, q, _SCAN[1:], gain_mode)
     found = [None] * len(criteria)
@@ -404,7 +406,7 @@ def threshold_r(criteria, q: np.ndarray, gain_mode: str = "unit") -> float | Non
         active = [k for k in active if brackets[k][1] - brackets[k][0] > 1e-6]
     for k, (lo, hi) in brackets.items():
         found[k] = 0.5 * (lo + hi)
-    return found[0] if single else found
+    return found
 
 
 def full_inseparability_report(

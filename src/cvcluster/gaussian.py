@@ -261,20 +261,17 @@ def combination_vector(n: int, terms) -> np.ndarray:
     return c
 
 
-def quadrature_variance(state: GaussianState, coeffs: np.ndarray) -> float | np.ndarray:
-    """Variance c·cov·c of the linear combination c · (x.., p..).
+def quadrature_variance(state: GaussianState, coeffs: np.ndarray) -> np.ndarray:
+    """Variances c·cov·c of a (k, 2n) stack of combinations c · (x.., p..).
 
-    ``coeffs`` is one vector of length 2n, giving a float, or a (k, 2n) stack,
-    giving k variances in one batched product: each row is the vector-matrix
-    then vector-vector product of a single vector, so a stack reads the same
-    bits as its rows one at a time.
+    One batched product: each row is the vector-matrix then vector-vector
+    product of a single vector, so a stack reads the same bits as its rows
+    one at a time.
     """
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim not in (1, 2) or c.shape[-1] != state.cov.shape[0]:
+    if c.ndim != 2 or c.shape[1] != state.cov.shape[0]:
         raise ValueError(f"coefficient shape {c.shape} does not match state")
-    rows = np.atleast_2d(c)
-    variances = (rows[:, None, :] @ state.cov @ rows[:, :, None]).ravel()
-    return float(variances[0]) if c.ndim == 1 else variances
+    return (c[:, None, :] @ state.cov @ c[:, :, None]).ravel()
 
 
 def qnl_variance(coeffs: np.ndarray) -> float:

@@ -50,9 +50,9 @@ DEFAULT_ATOL = 1e-12
 DIAMOND_LOCAL_PHASES = np.diag([-1, -1j, 1j, 1, 1, 1j, -1j, -1]).astype(complex)
 
 
-def is_symmetric(m: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
+def is_symmetric(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.allclose(m, m.T, rtol=0.0, atol=atol)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.allclose(m, m.T, rtol=0.0, atol=1e-10)
 
 
 def is_unitary(u: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
@@ -71,7 +71,7 @@ def inverse_gram(a: np.ndarray) -> np.ndarray:
     noise.
     """
     a = np.asarray(a, dtype=float)
-    if not is_symmetric(a, atol=1e-10):
+    if not is_symmetric(a):
         raise ValueError("adjacency matrix must be symmetric")
     n = a.shape[0]
     m = np.linalg.solve(np.eye(n) + a @ a, np.eye(n))
@@ -106,7 +106,7 @@ def gram_factor_sequential(m: np.ndarray, pivot_signs=None) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     # Cholesky reads one triangle only, so asymmetry must be caught here.
-    if not is_symmetric(m, atol=1e-10):
+    if not is_symmetric(m):
         raise ValueError("gram matrix must be symmetric")
     n = m.shape[0]
 
@@ -142,7 +142,7 @@ def assemble_unitary(a: np.ndarray, re_u: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     re_u = np.asarray(re_u, dtype=float)
-    if not is_symmetric(a, atol=1e-10):
+    if not is_symmetric(a):
         raise ValueError("adjacency matrix must be symmetric")
     if a.shape != re_u.shape:
         raise ValueError("adjacency and factor shapes differ")
@@ -300,7 +300,7 @@ def chain8_element_sequence() -> list[NetworkElement]:
     ``compose_sequence`` of this list equals the published chain network:
     the Gram pipeline for the 8-mode chain with the published pivot signs and
     amplitude-squeezed inputs on modes 1, 3, 5 and 7
-    (``presets.chain8_unitary``).
+    (``presets.builtin_network("linear8")[1]``).
     """
     t = chain8_transmissions()
     return [

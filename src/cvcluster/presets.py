@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import graphs, reference
-from .gaussian import SqueezePattern, cluster_state
+from .gaussian import cluster_state
 from .criteria import Criterion, graph_criteria
 from .network import compile_cluster_unitary, diamond_from_linear
 
@@ -29,10 +29,6 @@ __all__ = [
     "PublishedExperiment",
     "PUBLISHED",
     "builtin_network",
-    "chain8_unitary",
-    "diamond8_unitary",
-    "experiment_pattern",
-    "builtin_graph",
     "builtin_criteria",
     "nullifier_vectors",
     "cluster_state",
@@ -117,34 +113,13 @@ def builtin_network(name: str) -> tuple[np.ndarray, np.ndarray]:
     return network
 
 
-def chain8_unitary() -> np.ndarray:
-    """Network matrix of the 8-mode chain cluster experiment."""
-    return builtin_network("linear8")[1]
-
-
-def diamond8_unitary() -> np.ndarray:
-    """Network matrix of the two-diamond cluster experiment."""
-    return builtin_network("diamond8")[1]
-
-
-def experiment_pattern(r: float, n: int = 8) -> SqueezePattern:
-    """Amplitude squeezing on the odd modes, phase squeezing on the even ones."""
-    return SqueezePattern.alternating(n, r)
-
-
-def builtin_graph(name: str) -> graphs.Graph:
-    if name not in PUBLISHED:
-        raise ValueError(f"unknown builtin graph {name!r}")
-    return PUBLISHED[name].graph
-
-
 @lru_cache(maxsize=None)
 def builtin_criteria(name: str) -> tuple[Criterion, ...]:
     """The published inequalities of a builtin graph, under their published labels.
 
     Built once per name: a criterion is frozen and its affine form read-only.
     """
-    return tuple(graph_criteria(builtin_graph(name), **PUBLISHED[name].labels))
+    return tuple(graph_criteria(PUBLISHED[name].graph, **PUBLISHED[name].labels))
 
 
 def nullifier_vectors(graph: graphs.Graph) -> list[np.ndarray]:

@@ -41,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gaussian import GaussianState, qnl_variance, variance_db
+from .gaussian import GaussianState
 
 __all__ = [
     "BLOCK_VALUES",
@@ -50,7 +50,6 @@ __all__ = [
     "sample_quadratures",
     "estimate_variance",
     "estimate_variances",
-    "estimate_db",
 ]
 
 # Normals per streamed block: 2**16 float64 values, 512 KB, so a block and
@@ -67,12 +66,7 @@ _PRODUCT_DRAWS = 1024
 class SampleBatch:
     """Quadrature outcomes, one row per draw, columns (x_1..x_n, p_1..p_n)."""
 
-    seed: int
     samples: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
 
 
 def _factor(state: GaussianState) -> np.ndarray:
@@ -106,20 +100,16 @@ def sample_quadratures(state: GaussianState, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` outcomes from the state: one block of normals z, as rows z·Lᵀ."""
     factor = _factor(state)
     normals = next(_blocks(factor.shape[0], n, seed, rows=n))
-    return SampleBatch(seed=seed, samples=normals @ factor.T)
+    return SampleBatch(normals @ factor.T)
 
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    """Sample mean, unbiased variance and its standard error of a projection.
+    """Sample means, unbiased variances and their standard errors, one per check."""
 
-    Floats for one coefficient vector; arrays of shape (k,) for a (k, 2n)
-    stack of them.
-    """
-
-    mean: float | np.ndarray
-    estimate: float | np.ndarray
-    std_error: float | np.ndarray
+    mean: np.ndarray
+    estimate: np.ndarray
+    std_error: np.ndarray
 
 
 def _std_error(estimate, n_samples: int):
@@ -128,35 +118,35 @@ def _std_error(estimate, n_samples: int):
 
 
 def estimate_variance(batch: SampleBatch, coeffs: np.ndarray) -> VarianceEstimate:
-    """Unbiased sample variance of the projected outcomes.
+    """Unbiased sample variances of the outcomes projected onto a (k, 2n) stack of checks.
 
-    ``coeffs`` is one vector of length 2n or a (k, 2n) stack, projected in
-    products of at most 1024 draws (see the module docstring) into one
-    array, each check's draws along a contiguous row.
+    The checks are projected in products of at most 1024 draws (see the
+    module docstring) into one array, each check's draws along a contiguous
+    row.
     """
-    if batch.n_samples < 2:
+    size = batch.samples.shape[0]
+    if size < 2:
         raise ValueError("variance estimation needs at least two samples")
-    size = batch.n_samples
     coeffs = np.asarray(coeffs, dtype=float)
-    projected = np.empty(coeffs.shape[:-1] + (size,))
+    if coeffs.ndim != 2:
+        raise ValueError(f"expected a (k, 2n) stack of checks, got shape {coeffs.shape}")
+    projected = np.empty((len(coeffs), size))
     for start in range(0, size, _PRODUCT_DRAWS):
         stop = start + _PRODUCT_DRAWS
-        np.matmul(coeffs, batch.samples[start:stop].T, out=projected[..., start:stop])
+        np.matmul(coeffs, batch.samples[start:stop].T, out=projected[:, start:stop])
     # The arithmetic of mean() and var(ddof=1), in place on the projection this
     # function owns: no block-sized temporary and no second pass for the mean.
     mean = np.add.reduce(projected, axis=-1) / size
-    projected -= mean[..., None]
+    projected -= mean[:, None]
     np.square(projected, out=projected)
     estimate = np.add.reduce(projected, axis=-1) / (size - 1)
-    if projected.ndim == 1:
-        mean, estimate = float(mean), float(estimate)
     return VarianceEstimate(mean, estimate, _std_error(estimate, size))
 
 
 def estimate_variances(
     state: GaussianState, vectors: np.ndarray, n: int, seed: int
 ) -> VarianceEstimate:
-    """:func:`estimate_variance` of ``n`` draws, streamed; ``vectors`` as there.
+    """:func:`estimate_variance` of ``n`` draws, streamed; ``vectors`` a (k, 2n) stack.
 
     The draws are those of :func:`sample_quadratures` with the same seed, but
     only one block of about ``BLOCK_VALUES`` normals (at least 1024 draws) is
@@ -179,7 +169,7 @@ def estimate_variances(
     blocks = _blocks(dim, n, seed, rows=max(2, BLOCK_VALUES // min(dim, 64)))
     stack = []
     for i, normals in enumerate(blocks, start=1):
-        part = estimate_variance(SampleBatch(seed=seed, samples=normals), pulled)
+        part = estimate_variance(SampleBatch(normals), pulled)
         size = normals.shape[0]
         stack.append((size, part.mean, part.estimate * (size - 1)))
         for _ in range((i & -i).bit_length() - 1):
@@ -199,9 +189,3 @@ def _merge(left, right):
     delta = mean_right - mean_left
     mean = mean_left + delta * (n_right / total)
     return total, mean, m2_left + m2_right + delta**2 * (n_left * n_right / total)
-
-
-def estimate_db(batch: SampleBatch, coeffs: np.ndarray) -> float:
-    """Estimated noise power relative to the vacuum reference, in dB."""
-    estimate = estimate_variance(batch, coeffs).estimate
-    return float(variance_db(estimate, qnl_variance(coeffs)))

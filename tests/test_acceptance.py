@@ -35,12 +35,16 @@ from cvcluster.sampling import estimate_variance, sample_quadratures
 from expected import CHAIN8_GRAM_INVERSE, CHAIN8_UNITARY, optimal_gains_analytic
 
 
+LINEAR_NETWORK = presets.builtin_network("linear8")[1]
+DIAMOND_NETWORK = presets.builtin_network("diamond8")[1]
+
+
 def linear_state(r):
-    return presets.cluster_state(presets.chain8_unitary(), presets.experiment_pattern(r))
+    return presets.cluster_state(LINEAR_NETWORK, SqueezePattern.alternating(8, r))
 
 
 def diamond_state(r):
-    return presets.cluster_state(presets.diamond8_unitary(), presets.experiment_pattern(r))
+    return presets.cluster_state(DIAMOND_NETWORK, SqueezePattern.alternating(8, r))
 
 
 LINEAR = presets.builtin_criteria("linear8")
@@ -79,28 +83,28 @@ def test_acceptance_3_excess_noise():
     worst_anti = 0.0
     worst_ratio = 0.0
     for unitary, graph in (
-        (presets.chain8_unitary(), graphs.linear_chain(8)),
-        (presets.diamond8_unitary(), graphs.two_diamond()),
+        (LINEAR_NETWORK, graphs.linear_chain(8)),
+        (DIAMOND_NETWORK, graphs.two_diamond()),
     ):
         vectors = presets.nullifier_vectors(graph)
         for r in (0.1, 0.5, 1.0):
-            pattern = presets.experiment_pattern(r)
+            pattern = SqueezePattern.alternating(8, r)
             state = presets.cluster_state(unitary, pattern)
             noises = excess_noise_decomposition(unitary, pattern, vectors)
             for vec, noise in zip(vectors, noises):
                 worst_anti = max(worst_anti, noise.max_anti_coefficient)
-                ratio = quadrature_variance(state, vec) / qnl_variance(vec)
+                ratio = quadrature_variance(state, [vec])[0] / qnl_variance(vec)
                 worst_ratio = max(worst_ratio, abs(ratio - np.exp(-2.0 * r)))
     assert worst_anti < 1e-10
     assert worst_ratio < 1e-10
 
     # Term-by-term comparison against the printed coefficient tables: every
     # magnitude must match; sign disagreements are reported, not hidden.
-    pattern = presets.experiment_pattern(0.5)
+    pattern = SqueezePattern.alternating(8, 0.5)
     sign_mismatches = []
     for unitary, graph, table in (
-        (presets.chain8_unitary(), graphs.linear_chain(8), reference.REFERENCE_NOISE_TERMS_LINEAR),
-        (presets.diamond8_unitary(), graphs.two_diamond(), reference.REFERENCE_NOISE_TERMS_DIAMOND),
+        (LINEAR_NETWORK, graphs.linear_chain(8), reference.REFERENCE_NOISE_TERMS_LINEAR),
+        (DIAMOND_NETWORK, graphs.two_diamond(), reference.REFERENCE_NOISE_TERMS_DIAMOND),
     ):
         noises = excess_noise_decomposition(
             unitary, pattern, presets.nullifier_vectors(graph)
@@ -126,7 +130,7 @@ _LINEAR_MODEL_LHS = [0.686, 0.823, 0.823, 0.823, 0.823, 0.823, 0.686]
 def test_acceptance_4_linear_measured_values():
     state = linear_state(reference.EFFECTIVE_R)
     criteria = LINEAR
-    lhs = [evaluate(c, state, unit_gains(c)).lhs for c in criteria]
+    lhs = [evaluate(c, state, unit_gains([c])).lhs for c in criteria]
     for model, exact in zip(lhs, _LINEAR_MODEL_LHS):
         assert model == pytest.approx(exact, abs=5e-4)
     gaps = [abs(m - meas) for m, meas in zip(lhs, reference.MEASURED_LHS_LINEAR)]
@@ -200,9 +204,9 @@ def test_acceptance_5_nullifier_noise_power():
 def test_acceptance_6_thresholds():
     lin = {c.cid: c for c in LINEAR}
     dia = {c.cid: c for c in DIAMOND}
-    orientations = presets.experiment_pattern(0.0).orientations
-    linear_terms = squeezing_terms(presets.chain8_unitary(), orientations)
-    diamond_terms = squeezing_terms(presets.diamond8_unitary(), orientations)
+    orientations = SqueezePattern.alternating(8, 0.0).orientations
+    linear_terms = squeezing_terms(LINEAR_NETWORK, orientations)
+    diamond_terms = squeezing_terms(DIAMOND_NETWORK, orientations)
     targets = {
         "3a": (lin["3a"], linear_terms, 0.5 * np.log(1.25)),
         "3b": (lin["3b"], linear_terms, 0.5 * np.log(1.5)),
@@ -212,13 +216,13 @@ def test_acceptance_6_thresholds():
     }
     computed = {}
     for cid, (criterion, terms, expected) in targets.items():
-        value = threshold_r(criterion, gram_block(criterion, terms), "unit")
+        value = threshold_r([criterion], [gram_block(criterion, terms)], "unit")[0]
         computed[cid] = value
         assert value == pytest.approx(expected, abs=1e-4), cid
 
     notes = []
     for cid in ("3c", "3d"):
-        value = threshold_r(lin[cid], gram_block(lin[cid], linear_terms), "unit")
+        value = threshold_r([lin[cid]], [gram_block(lin[cid], linear_terms)], "unit")[0]
         assert value == pytest.approx(0.5 * np.log(1.5), abs=1e-4)
         published = presets.PUBLISHED["linear8"].unit_gain_thresholds[cid]
         notes.append(
@@ -290,7 +294,7 @@ def test_acceptance_8_property_suites():
         input_covariance(pattern),
         symplectic_from_unitary(network.assemble_unitary(a, factor)),
     )
-    baseline = np.array([quadrature_variance(base_state, v) for v in vectors])
+    baseline = quadrature_variance(base_state, vectors)
     worst_gauge = 0.0
     for _ in range(50):
         q, r_ = np.linalg.qr(rng.standard_normal((8, 8)))
@@ -299,7 +303,7 @@ def test_acceptance_8_property_suites():
             input_covariance(pattern),
             symplectic_from_unitary(network.assemble_unitary(a, factor @ q)),
         )
-        values = np.array([quadrature_variance(state, v) for v in vectors])
+        values = quadrature_variance(state, vectors)
         worst_gauge = max(worst_gauge, float(np.max(np.abs(values - baseline))))
     assert worst_gauge < 1e-10
 
@@ -332,10 +336,9 @@ def test_acceptance_9_monte_carlo():
         gains = resolve_gains(criteria, config.gains_spec, state=state)
         for criterion in criteria:
             checks += list(criterion.sides(gains[criterion.cid]))
-        for vec in checks:
-            analytic = quadrature_variance(state, vec)
-            est = estimate_variance(batch, vec)
-            worst_z = max(worst_z, abs(est.estimate - analytic) / est.std_error)
+        analytic = quadrature_variance(state, checks)
+        est = estimate_variance(batch, checks)
+        worst_z = max(worst_z, float(np.max(np.abs(est.estimate - analytic) / est.std_error)))
     assert worst_z < 3.0
     print(
         f"\nACCEPTANCE 9 Monte Carlo: PASS (48 checks at n = 1e6, max |z| = {worst_z:.2f})"

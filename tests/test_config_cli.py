@@ -96,7 +96,7 @@ class TestConfigParsing:
             parse_config(base_config(graph=graph, squeeze={"r": 0.5, "orientations": orientations}))
 
     def test_unknown_graph_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown builtin graph 'ring8'"):
             parse_config(base_config(graph="ring8"))
 
     def test_bad_sweep_rejected(self):

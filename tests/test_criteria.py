@@ -25,27 +25,37 @@ from cvcluster.criteria import (
     unit_gains,
     vlf_bound,
 )
-from cvcluster.gaussian import LossModel, quadrature_variance, squeezing_terms, vacuum_state
+from cvcluster.gaussian import (
+    LossModel,
+    SqueezePattern,
+    quadrature_variance,
+    squeezing_terms,
+    vacuum_state,
+)
 from cvcluster.network import compile_cluster_unitary
 
 from expected import CUSTOM64_CONFIG, PUBLISHED_CRITERIA, lcg_edges, optimal_gains_analytic
 
 
 def linear_state(r):
-    return presets.cluster_state(presets.chain8_unitary(), presets.experiment_pattern(r))
+    return presets.cluster_state(
+        presets.builtin_network("linear8")[1], SqueezePattern.alternating(8, r)
+    )
 
 
 def diamond_state(r):
-    return presets.cluster_state(presets.diamond8_unitary(), presets.experiment_pattern(r))
+    return presets.cluster_state(
+        presets.builtin_network("diamond8")[1], SqueezePattern.alternating(8, r)
+    )
 
 
 LINEAR = presets.builtin_criteria("linear8")
 DIAMOND = presets.builtin_criteria("diamond8")
 BUILTIN = LINEAR + DIAMOND
 STATE_BUILDERS = {"3": linear_state, "4": diamond_state}
-ORIENTATIONS = presets.experiment_pattern(0.0).orientations
-LINEAR_TERMS = squeezing_terms(presets.chain8_unitary(), ORIENTATIONS)
-DIAMOND_TERMS = squeezing_terms(presets.diamond8_unitary(), ORIENTATIONS)
+ORIENTATIONS = SqueezePattern.alternating(8, 0.0).orientations
+LINEAR_TERMS = squeezing_terms(presets.builtin_network("linear8")[1], ORIENTATIONS)
+DIAMOND_TERMS = squeezing_terms(presets.builtin_network("diamond8")[1], ORIENTATIONS)
 
 
 def builder_for(criterion):
@@ -75,7 +85,7 @@ def graph_cases(draw):
 def criteria_sets(draw):
     """A graph case's criteria with the squeezing terms of its lossless cluster state."""
     criteria, unitary = draw(graph_cases())
-    orientations = presets.experiment_pattern(0.0, len(unitary)).orientations
+    orientations = SqueezePattern.alternating(len(unitary), 0.0).orientations
     return criteria, squeezing_terms(unitary, orientations)
 
 
@@ -121,7 +131,7 @@ class TestCriterionSets:
             assert c.gain_names == published.gain_names, c.cid
             # Vectors, not term order: the published 4b lists x2 before x1 in v.
             slots = c.gain_names
-            for gains in (unit_gains(c), dict(zip(slots, rng.uniform(-3.0, 3.0, len(slots))))):
+            for gains in (unit_gains([c]), dict(zip(slots, rng.uniform(-3.0, 3.0, len(slots))))):
                 assert np.array_equal(c.sides(gains), published.sides(gains)), c.cid
 
     def test_bipartitions(self):
@@ -145,7 +155,7 @@ class TestCriterionSets:
             for nf in graphs.nullifiers(graph)
         }
         for c in criteria:
-            for terms, vec in zip((c.u, c.v), c.sides(unit_gains(c))):
+            for terms, vec in zip((c.u, c.v), c.sides(unit_gains([c]))):
                 p_mode = next(t.mode for t in terms if t.quadrature == "p")
                 assert np.allclose(vec, nullifier_vecs[p_mode], atol=1e-14), c.cid
 
@@ -185,7 +195,7 @@ class TestBound:
         state = vacuum_state(len(terms[0]) // 2)
         for c in criteria:
             assert evaluate(c, state, gains).bound == vlf_bound(c) == 1.0, c.cid
-            threshold_r(c, gram_block(c, terms), "optimal")
+            threshold_r([c], [gram_block(c, terms)], "optimal")
 
     def test_3a_bound_with_scaled_gain(self):
         c = LINEAR[0]
@@ -253,21 +263,21 @@ class TestCriterionShape:
 class TestEvaluate:
     def test_3a_at_effective_squeezing(self):
         c = LINEAR[0]
-        result = evaluate(c, linear_state(0.30), unit_gains(c))
+        result = evaluate(c, linear_state(0.30), unit_gains([c]))
         assert result.lhs == pytest.approx(1.25 * np.exp(-0.6), abs=1e-12)
         assert result.lhs == pytest.approx(0.686, abs=5e-4)
         assert result.satisfied
 
     def test_3b_at_effective_squeezing(self):
         c = LINEAR[1]
-        result = evaluate(c, linear_state(0.30), unit_gains(c))
+        result = evaluate(c, linear_state(0.30), unit_gains([c]))
         assert result.lhs == pytest.approx(1.5 * np.exp(-0.6), abs=1e-12)
         assert result.lhs == pytest.approx(0.823, abs=5e-4)
 
     def test_vacuum_not_certified(self):
         state = vacuum_state(8)
         for c in LINEAR:
-            result = evaluate(c, state, unit_gains(c))
+            result = evaluate(c, state, unit_gains([c]))
             assert result.lhs >= result.bound
             assert not result.satisfied
 
@@ -285,7 +295,7 @@ class TestEvaluate:
         n = len(unitary)
         etas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
         state = presets.cluster_state(
-            unitary, presets.experiment_pattern(0.0, n), loss=LossModel(tuple(etas))
+            unitary, SqueezePattern.alternating(n, 0.0), loss=LossModel(tuple(etas))
         )
         gains = resolve_gains(criteria, gain_mode, state)
         report = full_inseparability_report(criteria, state, gains)
@@ -301,9 +311,9 @@ class TestEvaluate:
             for c in criteria_set:
                 u_mode = next(t.mode for t in c.u if t.quadrature == "p")
                 v_mode = next(t.mode for t in c.v if t.quadrature == "p")
-                expected = quadrature_variance(state, vectors[u_mode - 1])
-                expected += quadrature_variance(state, vectors[v_mode - 1])
-                result = evaluate(c, state, unit_gains(c))
+                expected = quadrature_variance(state, [vectors[u_mode - 1]])[0]
+                expected += quadrature_variance(state, [vectors[v_mode - 1]])[0]
+                result = evaluate(c, state, unit_gains([c]))
                 assert result.lhs == pytest.approx(expected, abs=1e-12)
 
 
@@ -349,7 +359,7 @@ class TestOptimalGains:
     def test_solved_gains_minimise_under_per_mode_loss(self, name, r, etas, shifts):
         state = presets.cluster_state(
             presets.builtin_network(name)[1],
-            presets.experiment_pattern(r),
+            SqueezePattern.alternating(8, r),
             loss=LossModel(tuple(etas)),
         )
         step = 1e-3
@@ -363,14 +373,14 @@ class TestOptimalGains:
                 up = evaluate(c, state, {**gains, slot: gains[slot] + step}).lhs
                 down = evaluate(c, state, {**gains, slot: gains[slot] - step}).lhs
                 assert abs(up - down) / (2 * step) < 1e-9 * max(1.0, best), (c.cid, slot)
-            assert best <= evaluate(c, state, unit_gains(c)).lhs + tol, c.cid
+            assert best <= evaluate(c, state, unit_gains([c])).lhs + tol, c.cid
             moved = {slot: g + d for (slot, g), d in zip(gains.items(), shifts)}
             assert best <= evaluate(c, state, moved).lhs + tol, c.cid
 
     def test_lhs_convex_in_each_gain(self):
         state = linear_state(0.4)
         for c in LINEAR:
-            gains = unit_gains(c)
+            gains = unit_gains([c])
             for name in c.gain_names:
                 def lhs(g):
                     trial = {**gains, name: g}
@@ -382,27 +392,27 @@ class TestOptimalGains:
 
 class TestThresholds:
     def test_3a_unit_threshold(self):
-        value = threshold_r(LINEAR[0], gram_block(LINEAR[0], LINEAR_TERMS), "unit")
+        value = threshold_r(LINEAR[:1], [gram_block(LINEAR[0], LINEAR_TERMS)], "unit")[0]
         assert value == pytest.approx(0.5 * np.log(1.25), abs=1e-4)
 
     def test_4c_unit_threshold(self):
-        value = threshold_r(DIAMOND[2], gram_block(DIAMOND[2], DIAMOND_TERMS), "unit")
+        value = threshold_r(DIAMOND[2:3], [gram_block(DIAMOND[2], DIAMOND_TERMS)], "unit")[0]
         assert value == pytest.approx(0.5 * np.log(1.75), abs=1e-4)
 
     def test_3a_optimal_never_crosses(self):
-        assert threshold_r(LINEAR[0], gram_block(LINEAR[0], LINEAR_TERMS), "optimal") is None
+        assert threshold_r(LINEAR[:1], [gram_block(LINEAR[0], LINEAR_TERMS)], "optimal")[0] is None
 
     def test_threshold_brackets_the_crossing(self):
         c = LINEAR[0]
-        value = threshold_r(c, gram_block(c, LINEAR_TERMS), "unit")
+        value = threshold_r([c], [gram_block(c, LINEAR_TERMS)], "unit")[0]
         eps = 1e-4
-        above = evaluate(c, linear_state(value + eps), unit_gains(c))
-        below = evaluate(c, linear_state(value - eps), unit_gains(c))
+        above = evaluate(c, linear_state(value + eps), unit_gains([c]))
+        below = evaluate(c, linear_state(value - eps), unit_gains([c]))
         assert above.lhs < above.bound < below.lhs
 
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
-            threshold_r(LINEAR[0], gram_block(LINEAR[0], LINEAR_TERMS), "tuned")
+            threshold_r(LINEAR[:1], [gram_block(LINEAR[0], LINEAR_TERMS)], "tuned")
 
     def test_published_thresholds_are_tables_of_their_graph(self):
         linear = presets.PUBLISHED["linear8"].unit_gain_thresholds
@@ -428,34 +438,39 @@ class TestThresholds:
         assert cli.main(argv) == 0
         assert projections == [c.cid for c in DIAMOND]
 
-    @pytest.mark.parametrize("config, calls", [("diamond8_physical", 6), ("linear8", 4)])
+    @pytest.mark.parametrize("config, curve_calls", [("diamond8_physical", 24), ("linear8", 16)])
     def test_sweep_calls_threshold_r_once_per_block_size_and_gain_mode(
-        self, monkeypatch, tmp_path, config, calls
+        self, monkeypatch, tmp_path, config, curve_calls
     ):
-        # Criteria with one slot count share a block stack: diamond8 has 3
-        # slot counts and linear8 2, each thresholded in both gain modes.
-        stacks = []
-        original = criteria_module.threshold_r
+        # Criteria with one slot count share a block stack inside lhs_curve
+        # and threshold_r: diamond8 has 3 slot counts and linear8 2, each
+        # curved, scanned and bisected in both gain modes.  The counts are
+        # those of a sweep that grouped the criteria itself.
+        stacks, curves = [], []
+        original, original_curves = criteria_module.threshold_r, criteria_module._curves
 
-        def counted(criteria, q, gain_mode):
+        def counted(criteria, blocks, gain_mode):
             stacks.append(([c.cid for c in criteria], gain_mode))
-            return original(criteria, q, gain_mode)
+            return original(criteria, blocks, gain_mode)
+
+        def counted_curves(*args):
+            curves.append(args)
+            return original_curves(*args)
 
         for module in (criteria_module, cli):
             monkeypatch.setattr(module, "threshold_r", counted)
+        monkeypatch.setattr(criteria_module, "_curves", counted_curves)
         argv = ["sweep", "--config", config, "--out", str(tmp_path)]
         assert cli.main(argv) == 0
-        assert len(stacks) == calls
+        assert len(curves) == curve_calls
         cids = [c.cid for c in parse_config(json.loads(builtin_json(config))).criteria()]
         for gain_mode in ("unit", "optimal"):
             thresholded = [cid for group, mode in stacks if mode == gain_mode for cid in group]
             assert sorted(thresholded) == sorted(cids), gain_mode
 
-    def test_a_stack_needs_one_slot_count_and_its_blocks(self):
-        # 4a and 4b have 2 slots, 4c has 3.
+    def test_each_criterion_needs_its_gram_block(self):
+        # One block per criterion, of its own shape: 4a and 4b have 2 slots.
         q = np.stack([gram_block(c, DIAMOND_TERMS) for c in DIAMOND[:2]])
-        with pytest.raises(ValueError, match="one slot count"):
-            lhs_curve(DIAMOND[1:3], q, [0.3], "unit")
         with pytest.raises(ValueError, match="Gram block"):
             threshold_r(DIAMOND[:2], q[:1], "unit")
         with pytest.raises(ValueError, match="Gram block"):
@@ -465,9 +480,9 @@ class TestThresholds:
         # The (3, 2n, 2n) stack K must be projected first: 1 + slots < 2n.
         for c, terms in [(LINEAR[0], LINEAR_TERMS), (DIAMOND[4], DIAMOND_TERMS)]:
             with pytest.raises(ValueError, match="Gram block"):
-                lhs_curve(c, terms, [0.3], "unit")
+                lhs_curve([c], [terms], [0.3], "unit")
             with pytest.raises(ValueError, match="Gram block"):
-                threshold_r(c, terms, "optimal")
+                threshold_r([c], [terms], "optimal")
 
 
 class TestLhsCurve:
@@ -482,22 +497,22 @@ class TestLhsCurve:
         per_mode = st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)
         etas = data.draw(st.one_of(st.none(), per_mode))
         loss = None if etas is None else LossModel(tuple(etas))
-        terms = squeezing_terms(unitary, presets.experiment_pattern(0.0, n).orientations, loss)
+        terms = squeezing_terms(unitary, SqueezePattern.alternating(n, 0.0).orientations, loss)
         for c in criteria:
             q = gram_block(c, terms)
-            unit = lhs_curve(c, q, rs, "unit")
-            optimal = lhs_curve(c, q, rs, "optimal")
+            unit = lhs_curve([c], [q], rs, "unit")[0]
+            optimal = lhs_curve([c], [q], rs, "optimal")[0]
             for r, unit_lhs, optimal_lhs in zip(rs, unit, optimal):
-                pattern = presets.experiment_pattern(r, n)
+                pattern = SqueezePattern.alternating(n, r)
                 state = presets.cluster_state(unitary, pattern, loss=loss)
-                expected_unit = evaluate(c, state, unit_gains(c)).lhs
+                expected_unit = evaluate(c, state, unit_gains([c])).lhs
                 expected_optimal = evaluate(c, state, optimal_gains_numeric(c, state)).lhs
                 assert abs(unit_lhs - expected_unit) <= 1e-12 * max(1.0, expected_unit)
                 assert abs(optimal_lhs - expected_optimal) <= 1e-12 * max(1.0, expected_optimal)
 
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
-            lhs_curve(LINEAR[0], gram_block(LINEAR[0], LINEAR_TERMS), [0.3], "tuned")
+            lhs_curve(LINEAR[:1], [gram_block(LINEAR[0], LINEAR_TERMS)], [0.3], "tuned")
 
     def test_a_failed_gain_solve_in_a_stack_names_its_criteria(self):
         # 4c and 4d both have 3 slots.
@@ -520,12 +535,12 @@ class TestLhsCurve:
         _, unitary = compile_cluster_unitary(
             graphs.adjacency(graph), x_squeezed_inputs=range(1, 129, 2)
         )
-        terms = squeezing_terms(unitary, presets.experiment_pattern(0.0, 128).orientations)
+        terms = squeezing_terms(unitary, SqueezePattern.alternating(128, 0.0).orientations)
         criterion = graph_criteria(graph)[0]
         tracemalloc.start()
         try:
             q = gram_block(criterion, terms)
-            lhs_curve(criterion, q, np.linspace(0.05, 3.0, 60), "optimal")
+            lhs_curve([criterion], [q], np.linspace(0.05, 3.0, 60), "optimal")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -543,8 +558,8 @@ def closed_form_threshold(criterion, unitary, loss):
     lhs = [
         evaluate(
             criterion,
-            presets.cluster_state(unitary, presets.experiment_pattern(r), loss=loss),
-            unit_gains(criterion),
+            presets.cluster_state(unitary, SqueezePattern.alternating(8, r), loss=loss),
+            unit_gains([criterion]),
         ).lhs
         for r in rs
     ]
@@ -590,7 +605,7 @@ def sequential_threshold(criterion, q, gain_mode):
     """The grid scan plus one single-point lhs_curve call per bisection step."""
     bound = vlf_bound(criterion)
     grid = np.linspace(0.0, 3.0, 61)
-    lhs = lhs_curve(criterion, q, grid[1:], gain_mode)
+    lhs = lhs_curve([criterion], [q], grid[1:], gain_mode)[0]
     if np.all(lhs < bound):
         return None
     if np.all(lhs > bound):
@@ -599,7 +614,7 @@ def sequential_threshold(criterion, q, gain_mode):
     lo, hi = grid[first], grid[first + 1]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if lhs_curve(criterion, q, [mid], gain_mode)[0] > bound:
+        if lhs_curve([criterion], [q], [mid], gain_mode)[0, 0] > bound:
             lo = mid
         else:
             hi = mid
@@ -613,7 +628,7 @@ def test_thresholds_match_closed_form(label):
     terms = squeezing_terms(unitary, config.pattern.orientations, loss)
     for c in config.criteria():
         expected = closed_form_threshold(c, unitary, loss)
-        assert abs(threshold_r(c, gram_block(c, terms), "unit") - expected) < 1e-6, c.cid
+        assert abs(threshold_r([c], [gram_block(c, terms)], "unit")[0] - expected) < 1e-6, c.cid
 
 
 def block_size_groups(criteria, terms):
@@ -640,9 +655,25 @@ def test_batched_bisection_equals_the_sequential_one(label):
             curves = lhs_curve(group, stack, rs, gain_mode)
             assert len(stacked) == len(group) and curves.shape == (len(group), len(rs))
             for c, q, value, curve in zip(group, blocks, stacked, curves):
-                assert threshold_r(c, q, gain_mode) == value, (c.cid, gain_mode)
+                assert threshold_r([c], [q], gain_mode) == [value], (c.cid, gain_mode)
                 assert value == sequential_threshold(c, q, gain_mode), (c.cid, gain_mode)
-                assert np.array_equal(curve, lhs_curve(c, q, rs, gain_mode)), (c.cid, gain_mode)
+                single = lhs_curve([c], [q], rs, gain_mode)[0]
+                assert np.array_equal(curve, single), (c.cid, gain_mode)
+
+
+@pytest.mark.parametrize("gain_mode", ["unit", "optimal"])
+def test_mixed_slot_counts_give_each_criterion_its_own_result(gain_mode):
+    # The 9 diamond criteria hold 3 slot counts; each row and threshold of
+    # one call is the one its criterion alone gives, bit for bit.
+    assert len({len(c.gain_names) for c in DIAMOND}) == 3
+    blocks = [gram_block(c, DIAMOND_TERMS) for c in DIAMOND]
+    rs = np.linspace(0.0, 3.0, 61)
+    curves = lhs_curve(DIAMOND, blocks, rs, gain_mode)
+    found = threshold_r(DIAMOND, blocks, gain_mode)
+    assert curves.shape == (9, len(rs)) and len(found) == 9
+    for c, q, curve, value in zip(DIAMOND, blocks, curves, found):
+        assert np.array_equal(curve, lhs_curve([c], [q], rs, gain_mode)[0]), c.cid
+        assert threshold_r([c], [q], gain_mode) == [value], c.cid
 
 
 @given(case=graph_cases(), data=st.data())
@@ -654,15 +685,16 @@ def test_batched_bisection_matches_the_sequential_one_on_random_graphs(case, dat
     n = len(unitary)
     etas = data.draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
     rs = data.draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8))
-    orientations = presets.experiment_pattern(0.0, n).orientations
+    orientations = SqueezePattern.alternating(n, 0.0).orientations
     terms = squeezing_terms(unitary, orientations, LossModel(tuple(etas)))
     for group, blocks, stack in block_size_groups(criteria, terms):
         for gain_mode in ("unit", "optimal"):
             stacked = threshold_r(group, stack, gain_mode)
             curves = lhs_curve(group, stack, rs, gain_mode)
             for c, q, batched, curve in zip(group, blocks, stacked, curves):
-                assert threshold_r(c, q, gain_mode) == batched, (c.cid, gain_mode)
-                assert np.array_equal(curve, lhs_curve(c, q, rs, gain_mode)), (c.cid, gain_mode)
+                assert threshold_r([c], [q], gain_mode) == [batched], (c.cid, gain_mode)
+                single = lhs_curve([c], [q], rs, gain_mode)[0]
+                assert np.array_equal(curve, single), (c.cid, gain_mode)
                 sequential = sequential_threshold(c, q, gain_mode)
                 if sequential is None or sequential == np.inf:
                     assert batched == sequential, (c.cid, gain_mode)
@@ -706,7 +738,7 @@ class TestReports:
         # though both of their criteria are satisfied.
         graph = graphs.Graph.from_edges(4, [(1, 2), (3, 4)])
         _, unitary = compile_cluster_unitary(graphs.adjacency(graph), x_squeezed_inputs=(1, 3))
-        state = presets.cluster_state(unitary, presets.experiment_pattern(0.8, 4))
+        state = presets.cluster_state(unitary, SqueezePattern.alternating(4, 0.8))
         criteria = graph_criteria(graph)
         report = full_inseparability_report(criteria, state, resolve_gains(criteria, "unit"))
         assert [r.satisfied for r in report.results] == [True, True]

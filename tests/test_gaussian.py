@@ -25,7 +25,9 @@ from cvcluster.gaussian import (
 
 
 def chain8_state(r):
-    return presets.cluster_state(presets.chain8_unitary(), presets.experiment_pattern(r))
+    return presets.cluster_state(
+        presets.builtin_network("linear8")[1], SqueezePattern.alternating(8, r)
+    )
 
 
 def haar_unitary(rng, n):
@@ -73,7 +75,7 @@ class TestSymplectic:
         assert np.allclose(s @ vec, [-1.0, 0.0, 0.0, 0.0])
 
     def test_chain8_orthogonal_and_symplectic(self):
-        s = symplectic_from_unitary(presets.chain8_unitary())
+        s = symplectic_from_unitary(presets.builtin_network("linear8")[1])
         form = omega(8)
         assert np.max(np.abs(s @ s.T - np.eye(16))) < 1e-12
         assert np.max(np.abs(s @ form @ s.T - form)) < 1e-12
@@ -85,19 +87,19 @@ class TestSymplectic:
 
 class TestEvolve:
     def test_vacuum_through_passive_network_stays_vacuum(self):
-        s = symplectic_from_unitary(presets.chain8_unitary())
+        s = symplectic_from_unitary(presets.builtin_network("linear8")[1])
         out = evolve(vacuum_state(8), s)
         assert np.max(np.abs(out.cov - np.eye(16) * 0.25)) < 1e-12
 
     def test_chain8_nullifier_variances_at_half(self):
         state = chain8_state(0.5)
         for vec in presets.nullifier_vectors(graphs.linear_chain(8)):
-            ratio = quadrature_variance(state, vec) / qnl_variance(vec)
+            ratio = quadrature_variance(state, [vec])[0] / qnl_variance(vec)
             assert ratio == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_determinant_preserved(self):
-        state = input_covariance(presets.experiment_pattern(0.4))
-        s = symplectic_from_unitary(presets.chain8_unitary())
+        state = input_covariance(SqueezePattern.alternating(8, 0.4))
+        s = symplectic_from_unitary(presets.builtin_network("linear8")[1])
         out = evolve(state, s)
         assert np.linalg.det(out.cov) == pytest.approx(np.linalg.det(state.cov), rel=1e-9)
 
@@ -151,16 +153,16 @@ class TestLoss:
 class TestVariances:
     def test_vacuum_two_quadrature_combination(self):
         c = combination_vector(8, [(1, "p", 1.0), (2, "x", -1.0)])
-        assert quadrature_variance(vacuum_state(8), c) == pytest.approx(0.5, abs=1e-15)
+        assert quadrature_variance(vacuum_state(8), [c])[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_chain8_first_nullifier_at_half(self):
         state = chain8_state(0.5)
         c = combination_vector(8, [(1, "p", 1.0), (2, "x", -1.0)])
-        assert quadrature_variance(state, c) == pytest.approx(np.exp(-1.0) / 2, abs=1e-12)
-        assert quadrature_variance(state, c) == pytest.approx(0.18394, abs=5e-6)
+        assert quadrature_variance(state, [c])[0] == pytest.approx(np.exp(-1.0) / 2, abs=1e-12)
+        assert quadrature_variance(state, [c])[0] == pytest.approx(0.18394, abs=5e-6)
 
     def test_zero_vector_gives_zero(self):
-        assert quadrature_variance(vacuum_state(4), np.zeros(8)) == 0.0
+        assert quadrature_variance(vacuum_state(4), [np.zeros(8)])[0] == 0.0
 
     def test_qnl_values(self):
         two = combination_vector(4, [(1, "p", 1.0), (2, "x", -1.0)])
@@ -185,16 +187,17 @@ class TestVariances:
 
     def test_variance_monotone_in_r(self):
         # Nullifier variances shrink (weakly) as squeezing grows.
-        for builder, graph in (
-            (presets.chain8_unitary, graphs.linear_chain(8)),
-            (presets.diamond8_unitary, graphs.two_diamond()),
+        for name, graph in (
+            ("linear8", graphs.linear_chain(8)),
+            ("diamond8", graphs.two_diamond()),
         ):
             vectors = presets.nullifier_vectors(graph)
             grid = np.arange(0.0, 3.0 + 1e-9, 0.1)
             previous = None
             for r in grid:
-                state = presets.cluster_state(builder(), presets.experiment_pattern(r))
-                values = [quadrature_variance(state, v) for v in vectors]
+                unitary = presets.builtin_network(name)[1]
+                state = presets.cluster_state(unitary, SqueezePattern.alternating(8, r))
+                values = quadrature_variance(state, vectors)
                 if previous is not None:
                     assert all(v <= p + 1e-12 for v, p in zip(values, previous))
                 previous = values
@@ -204,7 +207,7 @@ class TestExcessNoise:
     def test_chain8_first_nullifier_terms(self):
         vectors = presets.nullifier_vectors(graphs.linear_chain(8))
         noise = excess_noise_decomposition(
-            presets.chain8_unitary(), presets.experiment_pattern(0.5), vectors
+            presets.builtin_network("linear8")[1], SqueezePattern.alternating(8, 0.5), vectors
         )[0]
         assert noise.anti.size == 0
         [(mode, quadrature, coefficient)] = noise.squeezed.tolist()
@@ -214,7 +217,7 @@ class TestExcessNoise:
     def test_chain8_fourth_nullifier_terms(self):
         vectors = presets.nullifier_vectors(graphs.linear_chain(8))
         noise = excess_noise_decomposition(
-            presets.chain8_unitary(), presets.experiment_pattern(0.5), vectors
+            presets.builtin_network("linear8")[1], SqueezePattern.alternating(8, 0.5), vectors
         )[3]
         got = {(m, q): coeff for m, q, coeff in noise.squeezed.tolist()}
         assert got[(2, "p")] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
@@ -246,7 +249,7 @@ class TestExcessNoise:
             state = evolve(input_covariance(pattern), symplectic_from_unitary(u))
             noise = excess_noise_decomposition(u, pattern, [coeffs])[0]
             assert noise.variance == pytest.approx(
-                quadrature_variance(state, coeffs), abs=1e-10
+                quadrature_variance(state, [coeffs])[0], abs=1e-10
             )
 
 
@@ -338,16 +341,16 @@ class TestClusterState:
             original(state)
 
         monkeypatch.setattr(GaussianState, "__post_init__", counting)
-        pattern = presets.experiment_pattern(0.5)
-        state = presets.cluster_state(presets.chain8_unitary(), pattern, loss)
+        pattern = SqueezePattern.alternating(8, 0.5)
+        state = presets.cluster_state(presets.builtin_network("linear8")[1], pattern, loss)
         assert validated == [state]
 
     def test_mode_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            presets.cluster_state(np.eye(2), presets.experiment_pattern(0.5, 3))
+            presets.cluster_state(np.eye(2), SqueezePattern.alternating(3, 0.5))
         with pytest.raises(ValueError):
             presets.cluster_state(
-                np.eye(2), presets.experiment_pattern(0.5, 2), LossModel.uniform(3, 0.9)
+                np.eye(2), SqueezePattern.alternating(2, 0.5), LossModel.uniform(3, 0.9)
             )
 
 
