@@ -53,8 +53,16 @@ from .criteria import (
     unit_gains,
     vlf_bound,
 )
-from .sampling import SampleBatch, estimate_variance, estimate_variances, sample_quadratures
-from .presets import cluster_state, nullifier_vectors
+from .sampling import (
+    SampleBatch,
+    estimate_variance,
+    estimate_variances,
+    sample_quadratures,
+)
+from .presets import (
+    cluster_state,
+    nullifier_vectors,
+)
 from .config import ExperimentConfig, load_config, parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]
