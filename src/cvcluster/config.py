@@ -212,9 +212,10 @@ def parse_config(raw: Mapping) -> ExperimentConfig:
     if "squeeze" not in raw:
         raise ConfigError("config needs a 'squeeze' section")
     pattern = _parse_pattern(raw["squeeze"], graph.n)
-    wired = SqueezePattern.alternating(graph.n, 0.0).orientations
-    if name is not None and pattern.orientations != wired:
-        raise ConfigError(f"builtin graph {name!r} is wired for orientations x, p, x, p, ...")
+    if name is not None:
+        wired = SqueezePattern.alternating(graph.n, 0.0).orientations
+        if pattern.orientations != wired:
+            raise ConfigError(f"builtin graph {name!r} is wired for orientations x, p, x, p, ...")
     if "loss" not in raw:
         raise ConfigError("config needs a 'loss' section ('eta' or 'effective_r')")
     loss, effective_r = _parse_loss(raw["loss"], graph.n)
