@@ -25,9 +25,10 @@ simulate's noise-term rows as structured arrays of ``gaussian.NOISE_TERM``.
 with ``json``; the bytes are those of ``json.dump(payload, indent=2,
 sort_keys=True)`` with every array in its ``tolist()`` form (NaN and
 infinities spelled as ``json`` spells them), in a fraction of the time of
-json's pure-Python indenting encoder.  Each array is formatted and written in
-runs of at most ``_WRITE_RUN`` items, so the emitter's memory is bounded by
-one run, whatever the size of the matrix.
+json's pure-Python indenting encoder.  Like ``sweep.csv``, an array is one
+row template (json's layout of a row of its leading axis, ``%s`` per item)
+repeated and filled by one ``%`` per run of whole rows.  A run holds at most
+``_WRITE_RUN`` items or one row, so memory does not grow with the rows.
 """
 
 from __future__ import annotations
@@ -70,12 +71,13 @@ _EFFECTIVE_NOTE = (
 # writes it as _ARRAY_TEXT.
 _ARRAY_MARK = "\x00ndarray\x00"
 _ARRAY_TEXT = json.dumps(_ARRAY_MARK)
-# Array items formatted and written per run.  A run's texts are all the
-# emitter holds at once: for the 4.6 MiB unitary.json of a 256-mode graph
-# its traced peak is 4.0 MiB, against 15.5 MiB when the whole file was
-# formatted before the first write.  Short runs pay numpy's per-call cost:
-# that file takes 0.18 s in runs of 2^14 items and 4 s in runs of one, on a
-# 2-vCPU x86-64 VM.
+# Array items formatted and written per run, or one row of the leading axis
+# if a row is longer (a 512-mode unitary's row is 1024 items).  A run's texts
+# are all the emitter holds at once: for the 4.6 MiB unitary.json of a
+# 256-mode graph its traced peak is 2.4 MiB, against 15.5 MiB when the whole
+# file was formatted before the first write.  Short runs pay numpy's per-call
+# cost: a 1-D array of 2^17 floats takes 0.09 s in runs of 2^14 items and
+# 0.6 s in runs of one, on a 2-vCPU x86-64 VM.
 _WRITE_RUN = 2**14
 # json's spelling of the floats it cannot write as repr.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -111,47 +113,40 @@ def _array_items(array: np.ndarray) -> tuple[tuple[int, ...], list[np.ndarray]]:
     raise TypeError(f"cannot write an array of dtype {array.dtype} as JSON")
 
 
+def _template(shape: tuple[int, ...], indent: int) -> str:
+    """json's indent-2 text of a nested list of ``shape`` at column ``indent``, items ``%s``."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    rows = ("," + pad).join([_template(shape[1:], indent + 2)] * shape[0])
+    return "[" + pad + rows + "\n" + " " * indent + "]"
+
+
 def _array_runs(shape: tuple[int, ...], columns: list[np.ndarray], indent: int):
     """``json.dumps(array.tolist(), indent=2)`` in runs, the array opened at column ``indent``.
 
-    ``shape`` and ``columns`` are :func:`_array_items` of the array.  The text
-    is the item texts in row-major order, each followed by the separator that
-    closes the levels its index ends and opens the levels the next one starts.
-    A run formats at most :data:`_WRITE_RUN` items, whole rows of a
-    structured array, so the text held at once does not grow with the array.
+    ``shape`` and ``columns`` are :func:`_array_items` of the array.  A run is
+    whole rows of the leading axis, its :func:`_template` row repeated and
+    filled by one ``%``: at most :data:`_WRITE_RUN` items, or one row.
     """
-    # Axes from the first empty one inwards are all "[]"; the rest hold items.
-    depth = next((k for k, size in enumerate(shape) if size == 0), len(shape))
-    count = math.prod(shape[:depth])
-    row = len(columns) if depth == len(shape) else 1
-    pad = ["\n" + " " * (indent + 2 * level) for level in range(depth + 1)]
-    # The text that opens (outermost first) or closes (innermost first) levels a..depth-1.
-    opens = ["".join("[" + pad[j + 1] for j in range(a, depth)) for a in range(depth + 1)]
-    closes = ["".join(pad[j] + "]" for j in range(depth - 1, a - 1, -1)) for a in range(depth + 1)]
-    # separators[k] follows an item that ends k levels, a..depth-1 with
-    # a = depth - k: close them, a comma, reopen them.  The last item ends
-    # all depth levels, and separators[depth] closes them.
-    separators = np.array(
-        [closes[a] + "," + pad[a] + opens[a] for a in range(depth, 0, -1)] + [closes[0]],
-        dtype=object,
-    )
-    step = max(1, _WRITE_RUN // row) * row
-    yield opens[0]
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        items = ["[]"] * (stop - start)
-        if depth == len(shape):
-            for j, column in enumerate(columns):
-                items[j::row] = _item_texts(column[start // row : stop // row])
-        # Item i ends level a when i + 1 is a multiple of the size of a level-a list.
-        following = np.arange(start + 1, stop + 1)
-        ended = np.zeros(stop - start, dtype=np.intp)
-        for a in range(depth):
-            ended += following % math.prod(shape[a:depth]) == 0
-        pieces = [""] * (2 * len(items))
-        pieces[0::2] = items
-        pieces[1::2] = separators[ended].tolist()
-        yield "".join(pieces)
+    width, size = len(columns), math.prod(shape[1:])
+    if not shape or shape[0] == 0 or size < width:
+        # A 0-d array or record, or no items: at most one item per column.
+        yield _template(shape, indent) % tuple(t for column in columns for t in _item_texts(column))
+        return
+    pad, sep = "\n" + " " * (indent + 2), ",\n" + " " * (indent + 2)
+    row, records = _template(shape[1:], indent + 2), size // width
+    step = max(1, _WRITE_RUN // size)
+    yield "["
+    for start in range(0, shape[0], step):
+        stop = min(start + step, shape[0])
+        items = [""] * ((stop - start) * size)
+        for j, column in enumerate(columns):
+            items[j::width] = _item_texts(column[start * records : stop * records])
+        yield (sep if start else pad) + sep.join([row] * (stop - start)) % tuple(items)
+    yield "\n" + " " * indent + "]"
 
 
 def _write_json(path: Path, payload) -> None:
@@ -159,9 +154,9 @@ def _write_json(path: Path, payload) -> None:
 
     json writes the payload with a placeholder for each array; every array's
     dtype is checked before the file is opened, so a rejected payload writes
-    nothing.  The skeleton pieces and each array's runs of at most
-    :data:`_WRITE_RUN` items go straight to the file, so the memory the
-    emitter holds is one run's text, not the file's.
+    nothing.  The skeleton pieces and each array's runs of whole rows (see
+    :func:`_array_runs`) go straight to the file, so the memory the emitter
+    holds is one run's text, not the file's.
     """
     arrays = []
 
@@ -199,7 +194,7 @@ def _resolve_gains(args, config: ExperimentConfig, criteria, state):
             if not isinstance(values, dict):
                 raise ValueError("expected a JSON object of slot values")
             spec = _parse_gains(values)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"invalid gains file {path}: {exc}") from exc
     try:
         return resolve_gains(criteria, spec, state=state)

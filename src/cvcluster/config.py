@@ -249,6 +249,6 @@ def load_config(source: str | Path) -> ExperimentConfig:
         path = resources.files("cvcluster").joinpath(f"configs/{source}.json")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
-        raise ConfigError(f"malformed JSON in {source}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, malformed JSON, or not UTF-8
+        raise ConfigError(f"cannot read config {source}: {exc}") from exc
     return parse_config(raw)

@@ -128,7 +128,7 @@ def estimate_variance(batch: SampleBatch, coeffs: np.ndarray) -> VarianceEstimat
     if size < 2:
         raise ValueError("variance estimation needs at least two samples")
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2:
+    if coeffs.shape[1:] != batch.samples.shape[1:]:
         raise ValueError(f"expected a (k, 2n) stack of checks, got shape {coeffs.shape}")
     projected = np.empty((len(coeffs), size))
     for start in range(0, size, _PRODUCT_DRAWS):
@@ -159,8 +159,11 @@ def estimate_variances(
     many equal-sized subtrees below it as i has trailing zero bits, so no
     sum runs through more than about log2(blocks) updates.
     """
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.shape[1:] != state.cov.shape[1:]:
+        raise ValueError(f"expected a (k, 2n) stack of checks, got shape {vectors.shape}")
     factor = _factor(state)
-    pulled = np.asarray(vectors, dtype=float) @ factor
+    pulled = vectors @ factor
     dim = factor.shape[0]
     # Past 64 columns a block keeps BLOCK_VALUES // 64 draws and grows with dim:
     # each block's product repacks the k x dim pulled checks, and with 128 to

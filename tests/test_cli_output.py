@@ -29,8 +29,9 @@ from expected import (
 )
 
 SPECIAL_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e300]
-# Run lengths short enough that the test arrays span several runs, which then
-# end mid-row, at an array's last item and where several levels close.
+# Run lengths short enough that the test arrays span several runs.  A run is
+# whole rows of the leading axis, so these give runs of one row (rows longer
+# than the run) and of several rows, the last run shorter than the others.
 SHORT_RUNS = [1, 2, 3, 7]
 
 
@@ -100,12 +101,18 @@ def test_emitter_writes_the_bytes_of_json_dump(payload):
     [
         np.array(SPECIAL_VALUES),
         np.zeros((0,)),
+        np.zeros((0, 3)),
         np.zeros((2, 0, 3)),
+        np.arange(9.0),
         np.zeros((1, 1, 1, 1)),
         np.array(0.25),
         np.array([[0.5, -0.0]], dtype=np.float32),
+        np.array((3, "x", 0.5), dtype=NOISE_TERM),
     ],
-    ids=["specials", "empty", "inner-empty", "unit-axes", "0-d", "float32"],
+    ids=[
+        "specials", "empty", "empty-leading", "inner-empty", "nine-items", "unit-axes", "0-d",
+        "float32", "0-d-record",
+    ],
 )
 def test_emitter_edge_shapes_and_dtypes(array):
     payload = {"matrix": array, "rows": [array, {"deep": array}]}
@@ -144,7 +151,7 @@ def test_structured_fields_must_be_numbers_or_strings():
 
 
 def test_emitter_peak_memory_is_a_few_times_the_file(tmp_path):
-    # The emitter holds each item's text and the separators it points to,
+    # The emitter holds one run's item texts and its filled row template,
     # never the whole file as one string.
     path = tmp_path / "out.json"
     payload = {"matrix": np.random.default_rng(1).standard_normal((256, 256, 2))}
@@ -158,8 +165,8 @@ def test_emitter_peak_memory_is_a_few_times_the_file(tmp_path):
 
 
 def test_emitter_peak_memory_does_not_grow_with_the_array(tmp_path):
-    # Each array goes out in runs of at most cli._WRITE_RUN items, so the
-    # emitter holds one run's text whatever the size of the array.
+    # Each array goes out in runs of at most cli._WRITE_RUN items or one row,
+    # so the emitter holds one run's text whatever the number of rows.
     rng = np.random.default_rng(1)
     peaks, sizes = [], []
     for rows in (256, 512):

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -690,6 +691,30 @@ def test_malformed_config_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("unreadable", ["config", "gains"])
+def test_unreadable_config_or_gains_file_exit_code(tmp_path, capsys, monkeypatch, unreadable):
+    # A file that exists but cannot be read (permission denied) is a usage
+    # error, not an internal one.  The suite may run as root, where chmod
+    # does not stop a read, so the read itself is made to fail.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base_config()))
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps({"g_L3": 1.0}))
+    read_text = Path.read_text
+
+    def denied(self, *args, **kwargs):
+        if self.name == f"{unreadable}.json":
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    argv = ["criteria", "--config", str(config), "--out", str(tmp_path), "--gains", str(gains)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Permission denied" in err
+    assert not (tmp_path / "criteria.json").exists()
 
 
 def test_simulate_reports_mismatch_and_equivalent_r(tmp_path, capsys):

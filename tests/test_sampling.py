@@ -393,16 +393,29 @@ def test_variance_stack_matches_single_vectors(case, k, seed):
 
 def test_a_single_vector_is_not_a_stack():
     # Every variance route takes a (k, 2n) stack of checks, k = 1 included.
+    # The streamed route rejects any other shape before it draws a block.
     state = vacuum_state(2)
     vec = np.ones(4)
     batch = sample_quadratures(state, 10, seed=0)
-    for route in (
-        lambda: quadrature_variance(state, vec),
-        lambda: estimate_variance(batch, vec),
-        lambda: estimate_variances(state, vec, 10, seed=0),
-    ):
-        with pytest.raises(ValueError):
-            route()
+    drawn = []
+    blocks = sampling._blocks
+
+    def spy(*args, **kwargs):
+        for block in blocks(*args, **kwargs):
+            drawn.append(block.shape)
+            yield block
+
+    with mock.patch.object(sampling, "_blocks", spy):
+        for bad in (vec, vec.reshape(1, 4, 1), np.ones((1, 3))):
+            with pytest.raises(ValueError, match="does not match state"):
+                quadrature_variance(state, bad)
+            with pytest.raises(ValueError, match="stack of checks"):
+                estimate_variance(batch, bad)
+            with pytest.raises(ValueError, match="stack of checks"):
+                estimate_variances(state, bad, 10, seed=0)
+        assert drawn == []
+        assert estimate_variances(state, [vec], 10, seed=0).estimate.shape == (1,)
+    assert drawn == [(10, 4)]
     assert estimate_variance(batch, [vec]).estimate.shape == (1,)
 
 
