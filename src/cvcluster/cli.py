@@ -8,9 +8,10 @@ Subcommands::
     sweep      lhs-versus-r table (CSV) plus a squeezing-threshold summary
     sample     Monte Carlo variance estimates with z-scores against the model
 
-:func:`main` loads and checks the config once, ``gains`` section included,
-and hands it to the command, so no command loads it again.  It parses every
-command line with :data:`PARSER`, built once when the module is imported.
+:func:`main` loads and checks the config once and hands it to the command.
+``criteria`` and ``sample`` settle ``--gains`` with ``config.with_gains``,
+the check of the config's ``gains`` section, before any network or state is
+built.  Command lines are parsed by :data:`PARSER`, built at import.
 
 Exit codes: 0 on success, 2 for configuration or usage errors, 1 for
 unexpected internal failures.  All structured output is JSON (complex numbers
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, presets, reference
-from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, _parse_gains, load_config
+from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, load_config
 from .criteria import full_inseparability_report, gram_block, lhs_curve, resolve_gains
 from .criteria import threshold_r, vlf_bound
 from .gaussian import (
@@ -180,28 +181,6 @@ def _write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
-def _resolve_gains(args, config: ExperimentConfig, criteria, state):
-    """Gain tables for --gains if given, else for the config; an unknown slot is a config error."""
-    spec = args.gains
-    if spec is None:
-        spec = config.gains_spec
-    elif spec not in ("unit", "optimal"):
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigError(f"--gains must be 'unit', 'optimal' or a JSON file, got {spec!r}")
-        try:
-            values = json.loads(path.read_text())
-            if not isinstance(values, dict):
-                raise ValueError("expected a JSON object of slot values")
-            spec = _parse_gains(values)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"invalid gains file {path}: {exc}") from exc
-    try:
-        return resolve_gains(criteria, spec, state=state)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _graph_label(config: ExperimentConfig) -> str:
     return config.graph_name or f"custom-{config.graph.n}"
 
@@ -328,10 +307,11 @@ def cmd_simulate(args, config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_criteria(args, config: ExperimentConfig, out: Path) -> int:
+    config = config.with_gains(args.gains)
     label = _graph_label(config)
     state = config.build_state()
     criteria = config.criteria()
-    gains = _resolve_gains(args, config, criteria, state)
+    gains = resolve_gains(criteria, config.gains_spec, state=state)
     report = full_inseparability_report(criteria, state, gains)
 
     published = presets.PUBLISHED.get(config.graph_name)
@@ -441,6 +421,7 @@ def cmd_sample(args, config: ExperimentConfig, out: Path) -> int:
         raise ConfigError("--seed must be a non-negative integer")
     if config.graph_name is None and args.gains is not None:
         raise ConfigError("sample on a custom graph writes nullifier checks only; drop --gains")
+    config = config.with_gains(args.gains)
     label = _graph_label(config)
     state = config.build_state()
 
@@ -451,7 +432,7 @@ def cmd_sample(args, config: ExperimentConfig, out: Path) -> int:
     ]
     if config.graph_name is not None:
         criteria = config.criteria()
-        gains = _resolve_gains(args, config, criteria, state)
+        gains = resolve_gains(criteria, config.gains_spec, state=state)
         for c in criteria:
             named += zip((f"{c.cid}_u", f"{c.cid}_v"), c.sides(gains[c.cid]))
     names, vectors = zip(*named)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -44,7 +44,8 @@ class ExperimentConfig:
     ``effective_r`` and ``loss`` are mutually exclusive, so ``loss`` is the
     channel actually simulated; ``pattern`` always holds the nominal
     squeezing, and :meth:`simulation_pattern` applies the effective-r
-    substitution when active.
+    substitution when active.  Every construction, :meth:`with_gains` too,
+    checks that a ``gains_spec`` mapping names only slots of the criteria.
     """
 
     graph: graphs.Graph
@@ -54,6 +55,31 @@ class ExperimentConfig:
     effective_r: float | None
     gains_spec: object
     sweep: tuple[float, float, int] | None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.gains_spec, Mapping):
+            try:
+                resolve_gains(self.criteria(), self.gains_spec)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+
+    def with_gains(self, option: str | None) -> ExperimentConfig:
+        """This config with a ``--gains`` request: None, 'unit', 'optimal' or a JSON file."""
+        if option is None:
+            return self
+        if option in ("unit", "optimal"):
+            return replace(self, gains_spec=option)
+        path = Path(option)
+        if not path.is_file():
+            raise ConfigError(f"--gains must be 'unit', 'optimal' or a JSON file, got {option!r}")
+        try:
+            values = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(values, dict):
+                raise ValueError("expected a JSON object of slot values")
+            spec = _parse_gains(values)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"invalid gains file {path}: {exc}") from exc
+        return replace(self, gains_spec=spec)
 
     def simulation_pattern(self) -> SqueezePattern:
         """Pattern actually simulated."""
@@ -196,11 +222,7 @@ def _parse_sweep(raw) -> tuple[float, float, int] | None:
 
 
 def parse_config(raw: Mapping) -> ExperimentConfig:
-    """Validate a decoded JSON object into an :class:`ExperimentConfig`.
-
-    Each section is checked here, once for every command: a ``gains`` mapping
-    may name only slots of the graph's criteria, which only a mapping builds.
-    """
+    """Validate a decoded JSON object into an :class:`ExperimentConfig`, once per command."""
     if not isinstance(raw, Mapping):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - {"graph", "squeeze", "loss", "gains", "sweep"}
@@ -221,7 +243,7 @@ def parse_config(raw: Mapping) -> ExperimentConfig:
     loss, effective_r = _parse_loss(raw["loss"], graph.n)
     gains_spec = _parse_gains(raw.get("gains"))
     sweep = _parse_sweep(raw.get("sweep"))
-    config = ExperimentConfig(
+    return ExperimentConfig(
         graph=graph,
         graph_name=name,
         pattern=pattern,
@@ -230,12 +252,6 @@ def parse_config(raw: Mapping) -> ExperimentConfig:
         gains_spec=gains_spec,
         sweep=sweep,
     )
-    if isinstance(gains_spec, Mapping):
-        try:
-            resolve_gains(config.criteria(), gains_spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return config
 
 
 def load_config(source: str | Path) -> ExperimentConfig:

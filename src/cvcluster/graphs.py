@@ -25,8 +25,9 @@ __all__ = [
 class Graph:
     """Undirected, unweighted graph on modes 1..n.
 
-    ``edges`` holds pairs ``(a, b)`` with ``1 <= a < b <= n``.  Self-loops and
-    duplicate edges are rejected.
+    ``edges`` holds pairs ``(a, b)`` with ``1 <= a < b <= n``.  Self-loops are
+    rejected; :meth:`from_edges`, which configs use, merges a repeated or
+    reversed edge into one.
     """
 
     n: int

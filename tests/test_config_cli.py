@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 from importlib import resources
@@ -7,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvcluster import sampling
+from cvcluster import config as config_module
+from cvcluster import presets, sampling
 from cvcluster.cli import main
-from cvcluster.config import ConfigError, load_config, parse_config
+from cvcluster.config import ConfigError, ExperimentConfig, load_config, parse_config
 from cvcluster.criteria import evaluate, optimal_gains_numeric
 
 from expected import CHAIN8_UNITARY, CUSTOM64_CONFIG, DIAMOND8_UNITARY
@@ -670,6 +672,46 @@ def test_counts_and_numbers_of_the_wrong_type_exit_code(tmp_path, capsys, overri
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"loss": {"eta": 1.5}}, "efficiency 1.5 outside [0, 1]"),
+        ({"loss": {"eta": [0.9] * 7 + [-0.1]}}, "efficiency -0.1 outside [0, 1]"),
+        ({"loss": {"effective_r": -0.1}}, "effective_r must be >= 0"),
+        ({"squeeze": {"r": -0.5}}, "squeezing parameter must be finite and >= 0, got -0.5"),
+        (
+            {"squeeze": {"r": 0.5, "orientations": ["x", "p"] * 3 + ["x", "y"]}},
+            "orientation must be 'x' or 'p', got 'y'",
+        ),
+        (
+            {"graph": {"n": 2, "edges": [[1, 2]]}, "squeeze": {"r": 0.5, "orientations": ["x"]}},
+            "need 2 orientations, got 1",
+        ),
+        (
+            {"graph": {"n": 0, "edges": []}, "squeeze": {"r": 0.5}},
+            "invalid graph: mode count must be positive, got 0",
+        ),
+        ({"graph": {"n": 3}, "squeeze": {"r": 0.5}}, "explicit graph needs 'n' and 'edges'"),
+        ({"graph": 5}, "graph must be a builtin name or an object with n and edges"),
+        ({"squeeze": 0.5}, "squeeze section must be an object with an 'r' entry"),
+        ({"loss": 0.9}, "loss section must be an object"),
+        ({"sweep": [0, 1, 3]}, "sweep section must be an object"),
+        ({"gains": 3}, "gains must be 'unit', 'optimal' or a slot-to-value mapping"),
+    ],
+    ids=["eta_above_one", "eta_negative", "effective_r_negative", "r_negative",
+         "orientation_y", "orientations_short", "n_zero", "graph_without_edges",
+         "graph_number", "squeeze_number", "loss_number", "sweep_list", "gains_number"],
+)
+def test_values_out_of_range_or_of_the_wrong_shape_exit_code(tmp_path, capsys, overrides, message):
+    # Each boundary check names its own fault; a dropped check would surface,
+    # if at all, as some other error.
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(base_config(**{"sweep": SHORT_SWEEP, **overrides})))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_integral_float_counts_are_accepted():
     sweep = {**SHORT_SWEEP, "steps": 61.0}
     raw = base_config(graph={"n": 3.0, "edges": [[1, 2.0], [2, 3]]}, sweep=sweep)
@@ -687,10 +729,76 @@ def test_non_finite_gains_file_exit_code(tmp_path, capsys):
     assert "gain g_L3 must be finite" in capsys.readouterr().err
 
 
-def test_malformed_config_exit_code(tmp_path):
+def test_gains_file_that_is_not_utf8_exit_code(tmp_path, capsys):
+    # Read as UTF-8 like a config, whatever the locale's encoding.
+    gains_file = tmp_path / "gains.json"
+    gains_file.write_bytes(b'{"g_L3": 1.0, "g_\xff": 1.0}')
+    argv = ["criteria", "--config", "linear8", "--out", str(tmp_path), "--gains", str(gains_file)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid gains file {gains_file}: 'utf-8' codec")
+
+
+def test_malformed_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    for text, message in (("{", "cannot read config"), ("[]", "config must be a JSON object")):
+        bad.write_text(text)
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}"), text
+
+
+@pytest.mark.parametrize(
+    "gains, message",
+    [
+        ({"g_bogus": 0.5}, "unknown gain slots ['g_bogus']"),
+        ([0.5], "expected a JSON object of slot values"),
+        (None, "--gains must be 'unit', 'optimal' or a JSON file"),
+    ],
+    ids=["unknown_slot", "not_an_object", "missing_file"],
+)
+def test_bad_gains_file_rejected_before_any_network_or_state(
+    tmp_path, capsys, monkeypatch, gains, message
+):
+    calls = {"compile": 0, "state": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        config_module, "compile_cluster_unitary",
+        counted("compile", config_module.compile_cluster_unitary),
+    )
+    monkeypatch.setattr(presets, "cluster_state", counted("state", presets.cluster_state))
+    config = tmp_path / "chain3.json"
+    graph = {"n": 3, "edges": [[1, 2], [2, 3]]}
+    squeeze = {"r": 0.5, "orientations": ["x", "p", "x"]}
+    config.write_text(json.dumps(base_config(graph=graph, squeeze=squeeze)))
+    gains_file = tmp_path / "gains.json"
+    if gains is not None:
+        gains_file.write_text(json.dumps(gains))
+    argv = ["criteria", "--config", str(config), "--out", str(tmp_path), "--gains"]
+    assert main(argv + [str(gains_file)]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == {"compile": 0, "state": 0}
+    # A known slot reaches one compile and one state build.
+    gains_file.write_text(json.dumps({"g2_1": 0.5}))
+    assert main(argv + [str(gains_file)]) == 0
+    assert calls == {"compile": 1, "state": 1}
+
+
+def test_every_config_construction_checks_its_gain_slots():
+    config = load_config("diamond8")
+    with pytest.raises(ConfigError, match=r"unknown gain slots \['g_bogus'\]"):
+        dataclasses.replace(config, gains_spec={"g_bogus": 1.0})
+    with pytest.raises(ConfigError, match=r"unknown gain slots \['g_bogus'\]"):
+        ExperimentConfig(**{**vars(config), "gains_spec": {"g_bogus": 1.0}})
+    assert config.with_gains(None) is config
+    assert config.with_gains("optimal").gains_spec == "optimal"
+    assert dataclasses.replace(config, gains_spec={"g_D6": 0.35}).gains_spec == {"g_D6": 0.35}
 
 
 @pytest.mark.parametrize("unreadable", ["config", "gains"])
