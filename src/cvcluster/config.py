@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -111,9 +112,15 @@ class ExperimentConfig:
 
     def criteria(self) -> list[Criterion]:
         """The published inequalities on a builtin graph, the generated ones otherwise."""
+        return list(self._criteria)
+
+    @cached_property
+    def _criteria(self) -> tuple[Criterion, ...]:
+        # Built once per config: the gain-slot check at construction and the
+        # command read the same criteria.
         if self.graph_name is None:
-            return graph_criteria(self.graph)
-        return list(presets.builtin_criteria(self.graph_name))
+            return tuple(graph_criteria(self.graph))
+        return presets.builtin_criteria(self.graph_name)
 
 
 def _parse_graph(raw) -> tuple[graphs.Graph, str | None]:

@@ -275,11 +275,18 @@ def resolve_gains(
         slots = unit_gains(criteria)
         unknown = set(spec) - set(slots)
         if unknown:
-            raise ValueError(f"unknown gain slots {sorted(unknown)}; known: {sorted(slots)}")
+            raise ValueError(f"unknown gain slots {_abridged(unknown)}; known: {_abridged(slots)}")
         overrides = {k: float(v) for k, v in spec.items()}
     else:
         raise ValueError(f"gain spec must be 'unit', 'optimal' or a mapping, got {spec!r}")
     return {c.cid: {name: overrides.get(name, 1.0) for name in c.gain_names} for c in criteria}
+
+
+def _abridged(names, shown: int = 10) -> str:
+    """The sorted names, the first ``shown`` of them and a count of the rest."""
+    names = sorted(names)
+    rest = len(names) - shown
+    return f"{names[:shown]} and {rest} more" if rest > 0 else str(names)
 
 
 def _stacks(criteria, blocks, gain_mode: str) -> list:

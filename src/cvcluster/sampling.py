@@ -22,15 +22,22 @@ block of outcomes it would fill.  Each block's mean and variance are
 computed in place on its projection, and the blocks are merged as a
 pairwise tree.
 
+Each distinct check is pulled back and projected once.  The rows of V are
+keyed by their exact bytes, so a row that differs only by a signed zero is
+its own check, and a repeated row gets its first occurrence's estimate.
+With unit gains every side of a builtin's inequalities is one of the
+graph's 8 nullifiers, so of the 22 (chain) or 26 (two-diamond) checks that
+``sample`` reports, 8 are projected; with optimal gains all 26 are.
+
 A projection is taken in products of at most 1024 draws, each writing its
 columns of one array.  OpenBLAS (0.3.31, two threads) splits a product
 of 2**19 (about 5.2e5) multiply-adds or more over two threads; an 8-mode
-block of 4096 draws on 26 checks is 1.7e6, a 1024-draw slice 4.3e5.
+block of 4096 draws on 26 distinct checks is 1.7e6, a 1024-draw slice 4.3e5.
 Between the draws of a stream the split saves no wall time, and its second
 thread spin-waits between calls: on 2-vCPU x86-64, a 10^6-draw estimate on
-``diamond8_physical`` took 0.41 s of wall and 0.82 s of CPU time in one
-product per block, against 0.40 s of each sliced.  Past 64 columns a block
-holds 1024 draws, so it stays one product.
+the 26 checks of ``diamond8_physical`` took 0.41 s of wall and 0.82 s of
+CPU time in one product per block, against 0.40 s of each sliced.  Past 64
+columns a block holds 1024 draws, so it stays one product.
 """
 
 from __future__ import annotations
@@ -152,7 +159,7 @@ def estimate_variances(
     only one block of about ``BLOCK_VALUES`` normals (at least 1024 draws) is
     held at a time, and the outcomes z·Lᵀ are never formed: the checks are
     pulled back through the factor once, P = V·L, and each block of normals
-    is projected onto P.
+    is projected onto P, once per distinct row of ``vectors``.
     Each block's means and two-pass sums of squared deviations are merged by
     the pairwise update of Chan, Golub & LeVeque (Stanford STAN-CS-79-773,
     1979) along a binary tree: block i joins the stack, then merges with as
@@ -162,8 +169,12 @@ def estimate_variances(
     vectors = np.asarray(vectors, dtype=float)
     if vectors.shape[1:] != state.cov.shape[1:]:
         raise ValueError(f"expected a (k, 2n) stack of checks, got shape {vectors.shape}")
+    # Each distinct check is projected once: rows are keyed by their exact
+    # bytes, numbered in first-seen order, so -0.0 and 0.0 stay apart.
+    numbers = {}
+    index = np.array([numbers.setdefault(row.tobytes(), len(numbers)) for row in vectors], int)
     factor = _factor(state)
-    pulled = vectors @ factor
+    pulled = vectors[np.unique(index, return_index=True)[1]] @ factor
     dim = factor.shape[0]
     # Past 64 columns a block keeps BLOCK_VALUES // 64 draws and grows with dim:
     # each block's product repacks the k x dim pulled checks, and with 128 to
@@ -182,7 +193,7 @@ def estimate_variances(
     while stack:
         count, mean, m2 = _merge(stack.pop(), (count, mean, m2))
     estimate = m2 / (count - 1)
-    return VarianceEstimate(mean, estimate, _std_error(estimate, count))
+    return VarianceEstimate(mean[index], estimate[index], _std_error(estimate, count)[index])
 
 
 def _merge(left, right):

@@ -12,9 +12,9 @@ from cvcluster import config as config_module
 from cvcluster import presets, sampling
 from cvcluster.cli import main
 from cvcluster.config import ConfigError, ExperimentConfig, load_config, parse_config
-from cvcluster.criteria import evaluate, optimal_gains_numeric
+from cvcluster.criteria import evaluate, graph_criteria, optimal_gains_numeric
 
-from expected import CHAIN8_UNITARY, CUSTOM64_CONFIG, DIAMOND8_UNITARY
+from expected import CHAIN8_UNITARY, CUSTOM64_CONFIG, CUSTOM256_CONFIG, DIAMOND8_UNITARY
 
 
 def read_complex(path):
@@ -795,10 +795,49 @@ def test_every_config_construction_checks_its_gain_slots():
     with pytest.raises(ConfigError, match=r"unknown gain slots \['g_bogus'\]"):
         dataclasses.replace(config, gains_spec={"g_bogus": 1.0})
     with pytest.raises(ConfigError, match=r"unknown gain slots \['g_bogus'\]"):
-        ExperimentConfig(**{**vars(config), "gains_spec": {"g_bogus": 1.0}})
+        fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        ExperimentConfig(**{**fields, "gains_spec": {"g_bogus": 1.0}})
     assert config.with_gains(None) is config
     assert config.with_gains("optimal").gains_spec == "optimal"
     assert dataclasses.replace(config, gains_spec={"g_D6": 0.35}).gains_spec == {"g_D6": 0.35}
+
+
+@pytest.mark.parametrize("source", ["config", "file"])
+def test_custom_graph_criteria_are_built_once_per_config(tmp_path, monkeypatch, source):
+    # The gain-slot check at construction and the command read one build.
+    calls = []
+
+    def counted(graph, *args, **kwargs):
+        calls.append(graph.n)
+        return graph_criteria(graph, *args, **kwargs)
+
+    monkeypatch.setattr(config_module, "graph_criteria", counted)
+    graph = {"n": 3, "edges": [[1, 2], [2, 3]]}
+    squeeze = {"r": 0.5, "orientations": ["x", "p", "x"]}
+    gains = {"g2_1": 0.5}
+    config = tmp_path / "chain3.json"
+    config.write_text(json.dumps(base_config(graph=graph, squeeze=squeeze, gains=gains)))
+    argv = ["criteria", "--config", str(config), "--out", str(tmp_path)]
+    if source == "file":
+        config.write_text(json.dumps(base_config(graph=graph, squeeze=squeeze)))
+        gains_file = tmp_path / "gains.json"
+        gains_file.write_text(json.dumps(gains))
+        argv += ["--gains", str(gains_file)]
+    assert main(argv) == 0
+    assert calls == [3]
+
+
+def test_unknown_gain_slot_error_stays_short_on_a_large_graph(tmp_path, capsys):
+    config = tmp_path / "custom256.json"
+    config.write_text(json.dumps(CUSTOM256_CONFIG))
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps({"g_bogus": 1}))
+    argv = ["criteria", "--config", str(config), "--out", str(tmp_path), "--gains", str(gains)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown gain slots ['g_bogus']; known: [")
+    assert err.rstrip().endswith(" more")
+    assert len(err.encode()) < 1024
 
 
 @pytest.mark.parametrize("unreadable", ["config", "gains"])

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cvcluster import graphs, network, presets, sampling
+from cvcluster.cli import main
 from cvcluster.config import BUILTIN_CONFIGS, load_config
 from cvcluster.criteria import resolve_gains, unit_gains
 from cvcluster.gaussian import (
@@ -177,8 +179,9 @@ def projection_draws(run):
 
 
 def test_projection_products_cover_at_most_1024_draws():
-    # A 4096-draw product of 26 checks on 16 columns is large enough for
-    # OpenBLAS to split it over two threads, which then spin between calls.
+    # A 4096-draw product of the 8 distinct checks on 16 columns, 2**19
+    # multiply-adds, is large enough for OpenBLAS to split it over two
+    # threads, which then spin between calls.
     config = load_config("diamond8_physical")
     state, vectors = config.build_state(), check_vectors(config)
     assert len(vectors) == 26
@@ -440,7 +443,8 @@ def test_streamed_memory_does_not_grow_with_draws():
 
 def test_streamed_blocks_stay_cache_sized():
     # One 2**16-value block of normals (512 KB) and its projection onto the
-    # 26 checks (0.85 MB) are all the route holds at a time.
+    # 8 distinct of the 26 unit-gain checks (0.26 MB) are all the route holds
+    # at a time.
     config = load_config("diamond8_physical")
     state = config.build_state()
     vectors = check_vectors(config)
@@ -481,3 +485,47 @@ def test_streamed_route_projects_the_normals_onto_pulled_back_checks():
     outcomes = normals @ np.linalg.cholesky(state.cov).T
     reference = estimate_variance(sampling.SampleBatch(outcomes), vectors)
     np.testing.assert_allclose(streamed.estimate, reference.estimate, rtol=1e-12, atol=0.0)
+
+
+def projected_rows(run):
+    """``run()`` and the rows each block's :func:`estimate_variance` projected in it."""
+    rows = []
+    original = sampling.estimate_variance
+
+    def recording(batch, coeffs):
+        rows.append(len(coeffs))
+        return original(batch, coeffs)
+
+    with mock.patch.object(sampling, "estimate_variance", recording):
+        return run(), rows
+
+
+def test_repeated_checks_read_their_first_occurrence():
+    state = chain8_state(0.7)
+    nullifiers = np.array(presets.nullifier_vectors(load_config("linear8").graph))
+    signed = nullifiers[0].copy()
+    signed[signed == 0] = -0.0
+    stack = np.vstack([nullifiers[[2, 0, 2, 5]], [signed], nullifiers[[0, 5, 2]]])
+    est, rows = projected_rows(lambda: estimate_variances(state, stack, 5000, seed=3))
+    # The signed-zero row compares equal to its nullifier but is its own check.
+    assert rows == [4, 4]
+    firsts, first_of = [0, 1, 3, 4], [0, 1, 0, 2, 3, 1, 2, 0]
+    alone = estimate_variances(state, stack[firsts], 5000, seed=3)
+    for field in ("mean", "estimate", "std_error"):
+        values = getattr(est, field)
+        assert values.tobytes() == values[firsts][first_of].tobytes(), field
+        assert values[firsts].tobytes() == getattr(alone, field).tobytes(), field
+
+
+@pytest.mark.parametrize(
+    "config, gains, checks, rows",
+    [(name, "unit", 26 if "diamond" in name else 22, 8) for name in BUILTIN_CONFIGS]
+    + [("diamond8", "optimal", 26, 26)],
+)
+def test_sample_projects_each_distinct_check_once(tmp_path, config, gains, checks, rows):
+    # With unit gains every side of a builtin's inequalities is a nullifier.
+    argv = ["sample", "--config", config, "--gains", gains, "--n", "5000", "--out", str(tmp_path)]
+    status, projected = projected_rows(lambda: main(argv))
+    assert status == 0
+    assert projected == [rows, rows]
+    assert len(json.loads((tmp_path / "sample.json").read_text())["checks"]) == checks
