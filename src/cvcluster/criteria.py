@@ -282,11 +282,12 @@ def resolve_gains(
     return {c.cid: {name: overrides.get(name, 1.0) for name in c.gain_names} for c in criteria}
 
 
-def _abridged(names, shown: int = 10) -> str:
-    """The sorted names, the first ``shown`` of them and a count of the rest."""
+def _abridged(names) -> str:
+    """The sorted names: all of them, or the first 10 and a count of the rest."""
     names = sorted(names)
-    rest = len(names) - shown
-    return f"{names[:shown]} and {rest} more" if rest > 0 else str(names)
+    if len(names) <= 10:
+        return str(names)
+    return f"{names[:10]} and {len(names) - 10} more"
 
 
 def _stacks(criteria, blocks, gain_mode: str) -> list:

@@ -171,8 +171,8 @@ def estimate_variances(
         raise ValueError(f"expected a (k, 2n) stack of checks, got shape {vectors.shape}")
     # Each distinct check is projected once: rows are keyed by their exact
     # bytes, numbered in first-seen order, so -0.0 and 0.0 stay apart.
-    numbers = {}
-    index = np.array([numbers.setdefault(row.tobytes(), len(numbers)) for row in vectors], int)
+    distinct = {}
+    index = np.array([distinct.setdefault(row.tobytes(), len(distinct)) for row in vectors], int)
     factor = _factor(state)
     pulled = vectors[np.unique(index, return_index=True)[1]] @ factor
     dim = factor.shape[0]

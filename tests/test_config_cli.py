@@ -794,8 +794,8 @@ def test_every_config_construction_checks_its_gain_slots():
     config = load_config("diamond8")
     with pytest.raises(ConfigError, match=r"unknown gain slots \['g_bogus'\]"):
         dataclasses.replace(config, gains_spec={"g_bogus": 1.0})
+    fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     with pytest.raises(ConfigError, match=r"unknown gain slots \['g_bogus'\]"):
-        fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
         ExperimentConfig(**{**fields, "gains_spec": {"g_bogus": 1.0}})
     assert config.with_gains(None) is config
     assert config.with_gains("optimal").gains_spec == "optimal"
