@@ -11,19 +11,12 @@ from .graphs import Graph, Nullifier, adjacency, linear_chain, nullifiers, two_d
 from .network import (
     NetworkElement,
     assemble_unitary,
-    beamsplitter,
-    chain8_element_sequence,
-    chain8_transmissions,
     compile_cluster_unitary,
     compose_sequence,
-    diamond_from_linear,
     element_matrix,
-    fourier,
     gram_factor_sequential,
     input_basis_convert,
-    inverse_fourier,
     inverse_gram,
-    pi_rotation,
 )
 from .gaussian import (
     GaussianState,

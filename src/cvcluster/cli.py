@@ -55,12 +55,7 @@ from .gaussian import (
     squeezing_terms,
     variance_db,
 )
-from .network import (
-    DIAMOND_LOCAL_PHASES,
-    chain8_element_sequence,
-    compose_sequence,
-    element_matrix,
-)
+from .network import compose_sequence, element_matrix
 from .sampling import estimate_variances
 
 _EFFECTIVE_NOTE = (
@@ -192,7 +187,7 @@ def cmd_compile(args, config: ExperimentConfig, out: Path) -> int:
     gram_payload = {"graph": label, "matrix": factor}
     if config.graph_name == "diamond8":
         gram_payload["base_graph"] = "linear8"
-        gram_payload["local_output_phases"] = _complex_pairs(DIAMOND_LOCAL_PHASES)
+        gram_payload["local_output_phases"] = _complex_pairs(presets.DIAMOND_LOCAL_PHASES)
 
     _write_json(
         out / "unitary.json",
@@ -206,7 +201,7 @@ def cmd_compile(args, config: ExperimentConfig, out: Path) -> int:
     _write_json(out / "gram_factor.json", gram_payload)
 
     if config.graph_name == "linear8":
-        sequence = chain8_element_sequence()
+        sequence = presets.CHAIN8_ELEMENTS
         composed = compose_sequence(sequence, 8)
         deviation = float(np.max(np.abs(composed - unitary)))
         if deviation > 1e-12:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -112,15 +112,18 @@ class ExperimentConfig:
 
     def criteria(self) -> list[Criterion]:
         """The published inequalities on a builtin graph, the generated ones otherwise."""
-        return list(self._criteria)
+        return list(_criteria(self.graph, self.graph_name))
 
-    @cached_property
-    def _criteria(self) -> tuple[Criterion, ...]:
-        # Built once per config: the gain-slot check at construction and the
-        # command read the same criteria.
-        if self.graph_name is None:
-            return tuple(graph_criteria(self.graph))
-        return presets.builtin_criteria(self.graph_name)
+
+# The one criteria cache: a config's gain-slot check, its ``with_gains`` copy
+# and the command read one build per graph.  Bounded because an entry can be
+# large (custom256's criteria with their affine forms hold about 21 MiB); four
+# entries keep both builtins and two custom graphs.
+@lru_cache(maxsize=4)
+def _criteria(graph: graphs.Graph, graph_name: str | None) -> tuple[Criterion, ...]:
+    if graph_name is None:
+        return tuple(graph_criteria(graph))
+    return presets.builtin_criteria(graph_name)
 
 
 def _parse_graph(raw) -> tuple[graphs.Graph, str | None]:

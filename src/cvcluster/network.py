@@ -9,8 +9,12 @@ amplitude-squeezed input instead.
 
 :func:`compile_cluster_unitary` is the one pipeline from adjacency matrix to
 network, published pivot signs included.  It hands back R with the network
-and checks the Gram condition on R once, as unitarity of the network.  All
-functions are pure numpy.
+and checks the Gram condition on R once, as unitarity of the network.
+:class:`NetworkElement`, :func:`element_matrix` and :func:`compose_sequence`
+turn a splitter-and-phase sequence into its matrix.  Nothing here is specific
+to a graph: the published eight-mode wiring (pivot signs, the chain's element
+sequence and the two-diamond's local phases) is data in :mod:`.presets`.
+All functions are pure numpy.
 """
 
 from __future__ import annotations
@@ -23,31 +27,20 @@ import numpy as np
 __all__ = [
     "DEFAULT_ATOL",
     "NetworkElement",
-    "beamsplitter",
-    "fourier",
-    "inverse_fourier",
-    "pi_rotation",
     "is_symmetric",
     "is_unitary",
     "inverse_gram",
     "gram_factor_sequential",
     "assemble_unitary",
     "input_basis_convert",
-    "diamond_from_linear",
     "element_matrix",
     "compose_sequence",
     "compile_cluster_unitary",
-    "chain8_transmissions",
-    "chain8_element_sequence",
-    "DIAMOND_LOCAL_PHASES",
 ]
 
 # Absolute tolerance for unitarity and consistency checks.  Entries of all
 # matrices handled here are O(1), so an absolute scale is appropriate.
 DEFAULT_ATOL = 1e-12
-
-# Local output phases turning the chain network into the two-diamond one.
-DIAMOND_LOCAL_PHASES = np.diag([-1, -1j, 1j, 1, 1, 1j, -1j, -1]).astype(complex)
 
 
 def is_symmetric(m: np.ndarray) -> bool:
@@ -169,16 +162,6 @@ def input_basis_convert(u: np.ndarray, x_squeezed_inputs) -> np.ndarray:
     return converted
 
 
-def diamond_from_linear(u_l: np.ndarray) -> np.ndarray:
-    """Two-diamond network from the 8-mode chain network via local phases."""
-    u_l = np.asarray(u_l, dtype=complex)
-    if u_l.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {u_l.shape}")
-    if not is_unitary(u_l):
-        raise ValueError("input matrix is not unitary")
-    return DIAMOND_LOCAL_PHASES @ u_l
-
-
 @dataclass(frozen=True)
 class NetworkElement:
     """One primitive of a passive network.
@@ -207,22 +190,6 @@ class NetworkElement:
                 raise ValueError(f"{self.kind} acts on exactly one mode")
         else:
             raise ValueError(f"unknown element kind {self.kind!r}")
-
-
-def beamsplitter(k: int, l: int, transmission: float, sign: int) -> NetworkElement:
-    return NetworkElement("beamsplitter", (k, l), transmission, sign)
-
-
-def fourier(k: int) -> NetworkElement:
-    return NetworkElement("fourier", (k,))
-
-
-def inverse_fourier(k: int) -> NetworkElement:
-    return NetworkElement("inverse_fourier", (k,))
-
-
-def pi_rotation(k: int) -> NetworkElement:
-    return NetworkElement("pi_rotation", (k,))
 
 
 def element_matrix(element: NetworkElement, n: int) -> np.ndarray:
@@ -273,54 +240,10 @@ def compile_cluster_unitary(
     listed in ``x_squeezed_inputs``.  Both the Gram factor R and the network
     matrix are returned, so a caller that writes R never solves it again.
     Other pivot signs change only the signs of columns, which leaves the
-    cluster state unchanged; the published 8-mode networks pass their own
-    signs (``presets.CHAIN8_PIVOT_SIGNS``).
+    cluster state unchanged; ``presets.builtin_network`` passes the published
+    chain's signs (``presets.CHAIN8_PIVOT_SIGNS``) and derives the two-diamond
+    network from that chain.
     """
     factor = gram_factor_sequential(inverse_gram(adjacency), pivot_signs=pivot_signs)
     return factor, input_basis_convert(assemble_unitary(adjacency, factor), x_squeezed_inputs)
 
-
-def chain8_transmissions() -> dict[int, float]:
-    """Power transmissions T1..T7 of the seven-splitter chain network."""
-    return {
-        1: 25.0 / 34.0,
-        2: 2.0 / 5.0,
-        3: 2.0 / 5.0,
-        4: 1.0 / 3.0,
-        5: 1.0 / 3.0,
-        6: 1.0 / 2.0,
-        7: 1.0 / 2.0,
-    }
-
-
-def chain8_element_sequence() -> list[NetworkElement]:
-    """Splitter and phase sequence realising the 8-mode chain network.
-
-    Listed in operator-product order (last element meets the input first);
-    ``compose_sequence`` of this list equals the published chain network:
-    the Gram pipeline for the 8-mode chain with the published pivot signs and
-    amplitude-squeezed inputs on modes 1, 3, 5 and 7
-    (``presets.builtin_network("linear8")[1]``).
-    """
-    t = chain8_transmissions()
-    return [
-        fourier(8),
-        pi_rotation(7),
-        inverse_fourier(6),
-        fourier(4),
-        pi_rotation(3),
-        inverse_fourier(2),
-        beamsplitter(7, 8, t[7], -1),
-        fourier(8),
-        beamsplitter(1, 2, t[6], -1),
-        fourier(1),
-        beamsplitter(6, 7, t[5], -1),
-        fourier(7),
-        beamsplitter(2, 3, t[4], -1),
-        fourier(2),
-        beamsplitter(5, 6, t[3], -1),
-        fourier(6),
-        beamsplitter(3, 4, t[2], -1),
-        fourier(3),
-        beamsplitter(4, 5, t[1], +1),
-    ]

@@ -2,9 +2,11 @@
 
 Both networks take amplitude-squeezed inputs on modes 1, 3, 5, 7 and
 phase-squeezed inputs on modes 2, 4, 6, 8.  The chain network comes out of
-the Gram pipeline with the published pivot signs; the two-diamond network is
-the chain network followed by local output phases.  ``cluster_state``, the
-state builder of :mod:`cvcluster.gaussian`, is bound here for their callers.
+the generic Gram pipeline of :mod:`.network` with the published pivot signs;
+the two-diamond network is the chain network followed by the local output
+phases ``DIAMOND_LOCAL_PHASES``.  ``CHAIN8_ELEMENTS`` is the published
+seven-splitter realisation of the chain network, as data.  ``cluster_state``,
+the state builder of :mod:`cvcluster.gaussian`, is bound here for their callers.
 
 ``PUBLISHED`` holds each builtin graph with the labels of its inequalities,
 its printed noise-term table, its measured variance sums and its quoted
@@ -21,11 +23,13 @@ import numpy as np
 from . import graphs, reference
 from .gaussian import cluster_state
 from .criteria import Criterion, graph_criteria
-from .network import compile_cluster_unitary, diamond_from_linear
+from .network import NetworkElement, compile_cluster_unitary
 
 __all__ = [
     "X_SQUEEZED_INPUTS",
     "CHAIN8_PIVOT_SIGNS",
+    "DIAMOND_LOCAL_PHASES",
+    "CHAIN8_ELEMENTS",
     "PublishedExperiment",
     "PUBLISHED",
     "builtin_network",
@@ -41,6 +45,37 @@ X_SQUEEZED_INPUTS = (1, 3, 5, 7)
 # choice flips only columns of the network (a gauge) and produces the same
 # state.
 CHAIN8_PIVOT_SIGNS = (1, 1, -1, 1, 1, -1, 1, -1)
+
+# Local output phases turning the chain network into the two-diamond one.
+# Read-only, like the networks: compile writes this shared array.
+DIAMOND_LOCAL_PHASES = np.diag([-1, -1j, 1j, 1, 1, 1j, -1j, -1]).astype(complex)
+DIAMOND_LOCAL_PHASES.setflags(write=False)
+
+# The chain network as seven splitters with the published power transmissions
+# T1..T7 and quarter-wave phases, in operator-product order: the last element
+# meets the input first.  ``network.compose_sequence`` of it equals
+# ``builtin_network("linear8")[1]``.
+CHAIN8_ELEMENTS = (
+    NetworkElement("fourier", (8,)),
+    NetworkElement("pi_rotation", (7,)),
+    NetworkElement("inverse_fourier", (6,)),
+    NetworkElement("fourier", (4,)),
+    NetworkElement("pi_rotation", (3,)),
+    NetworkElement("inverse_fourier", (2,)),
+    NetworkElement("beamsplitter", (7, 8), 1 / 2, -1),
+    NetworkElement("fourier", (8,)),
+    NetworkElement("beamsplitter", (1, 2), 1 / 2, -1),
+    NetworkElement("fourier", (1,)),
+    NetworkElement("beamsplitter", (6, 7), 1 / 3, -1),
+    NetworkElement("fourier", (7,)),
+    NetworkElement("beamsplitter", (2, 3), 1 / 3, -1),
+    NetworkElement("fourier", (2,)),
+    NetworkElement("beamsplitter", (5, 6), 2 / 5, -1),
+    NetworkElement("fourier", (6,)),
+    NetworkElement("beamsplitter", (3, 4), 2 / 5, -1),
+    NetworkElement("fourier", (3,)),
+    NetworkElement("beamsplitter", (4, 5), 25 / 34, +1),
+)
 
 
 class PublishedExperiment(NamedTuple):
@@ -98,14 +133,16 @@ def builtin_network(name: str) -> tuple[np.ndarray, np.ndarray]:
     """Gram factor and network matrix of a builtin experiment, both read-only.
 
     Both networks are built from the chain factor with the published pivot
-    signs, so the two-diamond experiment shares it.
+    signs, so the two-diamond experiment shares it; its network is
+    ``DIAMOND_LOCAL_PHASES @ chain``, the chain network checked by the
+    compile pipeline.
     """
     if name == "linear8":
         a = graphs.adjacency(graphs.linear_chain(8))
         network = compile_cluster_unitary(a, X_SQUEEZED_INPUTS, CHAIN8_PIVOT_SIGNS)
     elif name == "diamond8":
         factor, chain = builtin_network("linear8")
-        network = factor, diamond_from_linear(chain)
+        network = factor, DIAMOND_LOCAL_PHASES @ chain
     else:
         raise ValueError(f"unknown builtin graph {name!r}")
     for matrix in network:
@@ -113,11 +150,11 @@ def builtin_network(name: str) -> tuple[np.ndarray, np.ndarray]:
     return network
 
 
-@lru_cache(maxsize=None)
 def builtin_criteria(name: str) -> tuple[Criterion, ...]:
     """The published inequalities of a builtin graph, under their published labels.
 
-    Built once per name: a criterion is frozen and its affine form read-only.
+    Built on every call; configs read them through the one criteria cache of
+    :mod:`.config`.
     """
     return tuple(graph_criteria(PUBLISHED[name].graph, **PUBLISHED[name].labels))
 

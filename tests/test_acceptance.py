@@ -70,7 +70,7 @@ def test_acceptance_1_compiler_fidelity():
 
 
 def test_acceptance_2_element_decomposition():
-    composed = network.compose_sequence(network.chain8_element_sequence(), 8)
+    composed = network.compose_sequence(presets.CHAIN8_ELEMENTS, 8)
     deviation = np.max(np.abs(composed - CHAIN8_UNITARY))
     assert deviation < 1e-12
     print(

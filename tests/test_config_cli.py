@@ -802,9 +802,11 @@ def test_every_config_construction_checks_its_gain_slots():
     assert dataclasses.replace(config, gains_spec={"g_D6": 0.35}).gains_spec == {"g_D6": 0.35}
 
 
-@pytest.mark.parametrize("source", ["config", "file"])
+@pytest.mark.parametrize("source", ["config", "file", "both"])
 def test_custom_graph_criteria_are_built_once_per_config(tmp_path, monkeypatch, source):
-    # The gain-slot check at construction and the command read one build.
+    # The gain-slot checks of the config and of its --gains copy, and the
+    # command, read one build.  Other tests may have cached this graph's.
+    config_module._criteria.cache_clear()
     calls = []
 
     def counted(graph, *args, **kwargs):
@@ -814,14 +816,13 @@ def test_custom_graph_criteria_are_built_once_per_config(tmp_path, monkeypatch, 
     monkeypatch.setattr(config_module, "graph_criteria", counted)
     graph = {"n": 3, "edges": [[1, 2], [2, 3]]}
     squeeze = {"r": 0.5, "orientations": ["x", "p", "x"]}
-    gains = {"g2_1": 0.5}
+    section = {"gains": {"g2_3": 0.5}} if source != "file" else {}
     config = tmp_path / "chain3.json"
-    config.write_text(json.dumps(base_config(graph=graph, squeeze=squeeze, gains=gains)))
+    config.write_text(json.dumps(base_config(graph=graph, squeeze=squeeze, **section)))
     argv = ["criteria", "--config", str(config), "--out", str(tmp_path)]
-    if source == "file":
-        config.write_text(json.dumps(base_config(graph=graph, squeeze=squeeze)))
+    if source != "config":
         gains_file = tmp_path / "gains.json"
-        gains_file.write_text(json.dumps(gains))
+        gains_file.write_text(json.dumps({"g2_1": 0.7}))
         argv += ["--gains", str(gains_file)]
     assert main(argv) == 0
     assert calls == [3]

@@ -239,27 +239,31 @@ class TestInputBasisConvert:
 
 
 class TestDiamondFromLinear:
+    # The two-diamond network is the chain network followed by local phases.
     def test_matches_published_matrix(self):
-        u_d = network.diamond_from_linear(compiled_chain8())
+        u_l = presets.builtin_network("linear8")[1]
+        u_d = presets.builtin_network("diamond8")[1]
+        assert np.array_equal(u_d, presets.DIAMOND_LOCAL_PHASES @ u_l)
         assert np.max(np.abs(u_d - DIAMOND8_UNITARY)) < 1e-12
         assert abs(u_d[0, 0] - (-1j / np.sqrt(2))) < 1e-14
 
     def test_entry_magnitudes_unchanged(self):
-        u_l = compiled_chain8()
-        u_d = network.diamond_from_linear(u_l)
+        u_l = presets.builtin_network("linear8")[1]
+        u_d = presets.builtin_network("diamond8")[1]
         assert np.allclose(np.abs(u_d), np.abs(u_l), atol=1e-14)
 
     def test_result_unitary(self):
-        assert network.is_unitary(network.diamond_from_linear(compiled_chain8()))
+        assert network.is_unitary(presets.builtin_network("diamond8")[1])
 
-    def test_wrong_dimension_rejected(self):
+    def test_local_phases_are_read_only(self):
+        assert presets.DIAMOND_LOCAL_PHASES.flags.writeable is False
         with pytest.raises(ValueError):
-            network.diamond_from_linear(np.eye(4, dtype=complex))
+            presets.DIAMOND_LOCAL_PHASES[0, 0] = 1
 
 
 class TestElements:
     def test_beamsplitter_half_entries(self):
-        e = network.beamsplitter(7, 8, 0.5, -1)
+        e = network.NetworkElement("beamsplitter", (7, 8), 0.5, -1)
         u = network.element_matrix(e, 8)
         root_half = 1 / np.sqrt(2)
         assert u[6, 6] == pytest.approx(root_half)
@@ -268,30 +272,30 @@ class TestElements:
         assert u[7, 7] == pytest.approx(root_half)
 
     def test_fourier_pair_is_identity(self):
-        u = network.element_matrix(network.fourier(3), 4) @ network.element_matrix(
-            network.inverse_fourier(3), 4
-        )
+        u = network.element_matrix(
+            network.NetworkElement("fourier", (3,)), 4
+        ) @ network.element_matrix(network.NetworkElement("inverse_fourier", (3,)), 4)
         assert np.allclose(u, np.eye(4), atol=1e-15)
 
     def test_pi_rotation_squares_to_identity(self):
-        u = network.element_matrix(network.pi_rotation(2), 3)
+        u = network.element_matrix(network.NetworkElement("pi_rotation", (2,)), 3)
         assert np.allclose(u @ u, np.eye(3), atol=1e-15)
 
     def test_transmission_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            network.beamsplitter(1, 2, 1.2, +1)
+            network.NetworkElement("beamsplitter", (1, 2), 1.2, +1)
         with pytest.raises(ValueError):
-            network.beamsplitter(1, 2, -0.1, -1)
+            network.NetworkElement("beamsplitter", (1, 2), -0.1, -1)
 
     @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 25 / 34, 1.0])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_beamsplitter_unitary_for_all_transmissions(self, t, sign):
-        u = network.element_matrix(network.beamsplitter(1, 2, t, sign), 3)
+        u = network.element_matrix(network.NetworkElement("beamsplitter", (1, 2), t, sign), 3)
         assert network.is_unitary(u)
 
     def test_mode_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            network.element_matrix(network.fourier(5), 4)
+            network.element_matrix(network.NetworkElement("fourier", (5,)), 4)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -303,32 +307,37 @@ class TestComposeSequence:
         assert np.array_equal(network.compose_sequence([], 4), np.eye(4, dtype=complex))
 
     def test_single_element_equals_its_matrix(self):
-        e = network.beamsplitter(1, 3, 0.25, +1)
+        e = network.NetworkElement("beamsplitter", (1, 3), 0.25, +1)
         assert np.array_equal(
             network.compose_sequence([e], 4), network.element_matrix(e, 4)
         )
 
     def test_chain8_sequence_reproduces_published_network(self):
         # Listed order is the operator product: the last element acts first.
-        composed = network.compose_sequence(network.chain8_element_sequence(), 8)
+        composed = network.compose_sequence(presets.CHAIN8_ELEMENTS, 8)
         assert np.max(np.abs(composed - CHAIN8_UNITARY)) < 1e-12
 
     def test_reversed_order_does_not_reproduce_it(self):
-        reversed_u = network.compose_sequence(network.chain8_element_sequence()[::-1], 8)
+        reversed_u = network.compose_sequence(presets.CHAIN8_ELEMENTS[::-1], 8)
         assert np.max(np.abs(reversed_u - CHAIN8_UNITARY)) > 1e-3
 
 
 def test_chain8_transmissions():
-    t = network.chain8_transmissions()
-    assert t[1] == pytest.approx(25 / 34)
-    assert t[2] == t[3] == pytest.approx(2 / 5)
-    assert t[4] == t[5] == pytest.approx(1 / 3)
-    assert t[6] == t[7] == pytest.approx(1 / 2)
-    assert all(0 < v < 1 for v in t.values())
+    seq = presets.CHAIN8_ELEMENTS
+    splitters = {e.modes: e.transmission for e in seq if e.kind == "beamsplitter"}
+    assert splitters == {
+        (4, 5): 25 / 34,
+        (3, 4): 2 / 5,
+        (5, 6): 2 / 5,
+        (2, 3): 1 / 3,
+        (6, 7): 1 / 3,
+        (1, 2): 1 / 2,
+        (7, 8): 1 / 2,
+    }
 
 
 def test_chain8_sequence_has_seven_beamsplitters():
-    seq = network.chain8_element_sequence()
+    seq = presets.CHAIN8_ELEMENTS
     assert len(seq) == 19
     assert sum(1 for e in seq if e.kind == "beamsplitter") == 7
 
