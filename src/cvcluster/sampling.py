@@ -38,6 +38,22 @@ thread spin-waits between calls: on 2-vCPU x86-64, a 10^6-draw estimate on
 the 26 checks of ``diamond8_physical`` took 0.41 s of wall and 0.82 s of
 CPU time in one product per block, against 0.40 s of each sliced.  Past 64
 columns a block holds 1024 draws, so it stays one product.
+
+The draws are the floor of an estimate, and ``sample.json`` pins their
+stream.  Measured on the same machine (numpy 2.4.6, 10^6 draws on the 26
+checks of ``diamond8_physical``):
+
+- The draws alone took 0.23 s of the estimate's 0.27-0.29 s (80-86%).
+- One stream cannot be split over threads: the ziggurat draw takes a
+  variable number of raw values per normal, so no jump lands on the k-th
+  normal.  ``standard_normal`` releases the GIL while it fills: two threads
+  on separate generators drew twice the normals of one in the same wall
+  time, at twice the CPU time.  An earlier reading of 1.05 s against 0.53 s,
+  with CPU time equal to wall time, matched a first trial in which a
+  GIL-free control (``np.sort``) ran serially as well.
+- A thread drawing one or eight blocks ahead gave the same estimates bit for
+  bit, but took 0.30-0.41 s against 0.27-0.39 s inline (5 trials), with CPU
+  time equal to wall time: the draws did not overlap the projections.
 """
 
 from __future__ import annotations

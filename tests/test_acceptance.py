@@ -15,7 +15,6 @@ from cvcluster.criteria import (
     optimal_gains_numeric,
     resolve_gains,
     threshold_r,
-    unit_gains,
 )
 from cvcluster.gaussian import (
     LossModel,
@@ -130,7 +129,7 @@ _LINEAR_MODEL_LHS = [0.686, 0.823, 0.823, 0.823, 0.823, 0.823, 0.686]
 def test_acceptance_4_linear_measured_values():
     state = linear_state(reference.EFFECTIVE_R)
     criteria = LINEAR
-    lhs = [evaluate(c, state, unit_gains([c])).lhs for c in criteria]
+    lhs = [r.lhs for r in evaluate(criteria, state, resolve_gains(criteria, "unit"))]
     for model, exact in zip(lhs, _LINEAR_MODEL_LHS):
         assert model == pytest.approx(exact, abs=5e-4)
     gaps = [abs(m - meas) for m, meas in zip(lhs, reference.MEASURED_LHS_LINEAR)]
@@ -145,7 +144,7 @@ def _diamond_lhs_at_effective_r():
     state = diamond_state(reference.EFFECTIVE_R)
     criteria = DIAMOND
     gains = resolve_gains(criteria, {"g_D6": reference.MEASURED_G_D6})
-    return [evaluate(c, state, gains[c.cid]).lhs for c in criteria]
+    return [r.lhs for r in evaluate(criteria, state, gains)]
 
 
 @pytest.mark.xfail(
@@ -216,13 +215,13 @@ def test_acceptance_6_thresholds():
     }
     computed = {}
     for cid, (criterion, terms, expected) in targets.items():
-        value = threshold_r([criterion], [gram_block(criterion, terms)], "unit")[0]
+        value = threshold_r([criterion], gram_block([criterion], terms), "unit")[0]
         computed[cid] = value
         assert value == pytest.approx(expected, abs=1e-4), cid
 
     notes = []
     for cid in ("3c", "3d"):
-        value = threshold_r([lin[cid]], [gram_block(lin[cid], linear_terms)], "unit")[0]
+        value = threshold_r([lin[cid]], gram_block([lin[cid]], linear_terms), "unit")[0]
         assert value == pytest.approx(0.5 * np.log(1.5), abs=1e-4)
         published = presets.PUBLISHED["linear8"].unit_gain_thresholds[cid]
         notes.append(
@@ -241,12 +240,9 @@ def test_acceptance_7_optimal_gains():
     worst = 0.0
     for r in (0.1, 0.3, 0.5, 1.0):
         analytic = optimal_gains_analytic(r)
-        for criterion in LINEAR:
-            numeric = optimal_gains_numeric(criterion, linear_state(r))
-            worst = max(worst, *(abs(v - analytic[k]) for k, v in numeric.items()))
-        for criterion in DIAMOND:
-            numeric = optimal_gains_numeric(criterion, diamond_state(r))
-            worst = max(worst, *(abs(v - analytic[k]) for k, v in numeric.items()))
+        for criteria, state in ((LINEAR, linear_state(r)), (DIAMOND, diamond_state(r))):
+            for numeric in optimal_gains_numeric(criteria, state).values():
+                worst = max(worst, *(abs(v - analytic[k]) for k, v in numeric.items()))
     assert worst < 1e-12
 
     g_d6 = optimal_gains_analytic(0.5)["g_D6"]
@@ -254,10 +250,9 @@ def test_acceptance_7_optimal_gains():
 
     for r in (0.01, 0.05, 0.1):
         gains = optimal_gains_analytic(r)
-        for criterion in LINEAR:
-            assert evaluate(criterion, linear_state(r), gains).satisfied, (criterion.cid, r)
-        for criterion in DIAMOND:
-            assert evaluate(criterion, diamond_state(r), gains).satisfied, (criterion.cid, r)
+        for criteria, state in ((LINEAR, linear_state(r)), (DIAMOND, diamond_state(r))):
+            for result in evaluate(criteria, state, {c.cid: gains for c in criteria}):
+                assert result.satisfied, (result.cid, r)
     print(
         "\nACCEPTANCE 7 optimal gains: PASS "
         f"(analytic vs numeric within {worst:.1e}; g_D6(0.5) = {g_d6:.4f}; "

@@ -244,6 +244,19 @@ class TestCriteriaCommand:
         assert all(not row["satisfied"] for row in payload["criteria"])
         assert "NOT certified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("gains", [[], ["--gains", "optimal"]], ids=["config", "optimal"])
+    def test_graph_without_edges_has_no_criteria_and_is_not_certified(
+        self, tmp_path, capsys, gains
+    ):
+        config = tmp_path / "one_mode.json"
+        raw = {"graph": {"n": 1, "edges": []}, "squeeze": {"r": 0.5}, "loss": {"eta": 1.0}}
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["criteria", "--config", str(config), "--out", str(out)] + gains) == 0
+        payload = json.loads((out / "criteria.json").read_text())
+        assert payload["criteria"] == [] and payload["all_satisfied"] is False
+        assert "verdict: NOT certified" in capsys.readouterr().out
+
     def test_gains_file_override(self, tmp_path):
         gains_file = tmp_path / "gains.json"
         gains_file.write_text(json.dumps({"g_D6": 0.35}))
@@ -285,8 +298,9 @@ class TestCriteriaCommand:
                 if row["r"] == "0.5"
             }
         assert [row["id"] for row in rows] == [c.cid for c in config.criteria()]
-        for criterion, row in zip(config.criteria(), rows):
-            expected = evaluate(criterion, state, optimal_gains_numeric(criterion, state))
+        criteria = config.criteria()
+        results = evaluate(criteria, state, optimal_gains_numeric(criteria, state))
+        for criterion, row, expected in zip(criteria, rows, results):
             assert row["lhs"] == pytest.approx(expected.lhs, abs=1e-12), criterion.cid
             assert row["lhs"] == pytest.approx(swept[criterion.cid], abs=1e-12), criterion.cid
         assert rows[0]["lhs"] == pytest.approx(0.49999, abs=1e-5)

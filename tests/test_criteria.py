@@ -52,24 +52,19 @@ def diamond_state(r):
 LINEAR = presets.builtin_criteria("linear8")
 DIAMOND = presets.builtin_criteria("diamond8")
 BUILTIN = LINEAR + DIAMOND
-STATE_BUILDERS = {"3": linear_state, "4": diamond_state}
 ORIENTATIONS = SqueezePattern.alternating(8, 0.0).orientations
 LINEAR_TERMS = squeezing_terms(presets.builtin_network("linear8")[1], ORIENTATIONS)
 DIAMOND_TERMS = squeezing_terms(presets.builtin_network("diamond8")[1], ORIENTATIONS)
 
 
-def builder_for(criterion):
-    return STATE_BUILDERS[criterion.cid[0]]
-
-
 @st.composite
-def graph_cases(draw):
+def graph_cases(draw, max_modes=12):
     """The criteria and network of a builtin graph or of a random graph on
-    2..12 modes (with a triangle on modes 1-3 in about half of them)."""
+    2..max_modes modes (with a triangle on modes 1-3 in about half of them)."""
     name = draw(st.sampled_from(["linear8", "diamond8", "random"]))
     if name != "random":
         return presets.builtin_criteria(name), presets.builtin_network(name)[1]
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, max_modes))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     edges = draw(st.sets(st.sampled_from(pairs)))
     if n >= 3 and draw(st.booleans()):
@@ -181,8 +176,7 @@ def test_sides_match_termwise_sum(case, data):
 
 class TestBound:
     def test_unit_gain_bound_is_one_for_all(self):
-        for c in BUILTIN:
-            assert vlf_bound(c) == pytest.approx(1.0, abs=1e-12)
+        assert vlf_bound(BUILTIN) == pytest.approx(np.ones(len(BUILTIN)), abs=1e-12)
 
     @given(case=criteria_sets(), data=st.data())
     def test_bound_is_one_under_any_gains(self, case, data):
@@ -193,18 +187,19 @@ class TestBound:
             st.fixed_dictionaries({name: st.floats(-5.0, 5.0) for name in unit_gains(criteria)})
         )
         state = vacuum_state(len(terms[0]) // 2)
-        for c in criteria:
-            assert evaluate(c, state, gains).bound == vlf_bound(c) == 1.0, c.cid
-            threshold_r([c], [gram_block(c, terms)], "optimal")
+        results = evaluate(criteria, state, {c.cid: gains for c in criteria})
+        assert [r.bound for r in results] == vlf_bound(criteria).tolist() == [1.0] * len(criteria)
+        threshold_r(criteria, gram_block(criteria, terms), "optimal")
 
     def test_3a_bound_with_scaled_gain(self):
         c = LINEAR[0]
-        assert evaluate(c, linear_state(0.3), {"g_L3": 0.5}).bound == pytest.approx(1.0, abs=1e-14)
+        result = evaluate([c], linear_state(0.3), {c.cid: {"g_L3": 0.5}})[0]
+        assert result.bound == pytest.approx(1.0, abs=1e-14)
 
     def test_missing_gain_rejected(self):
         c = LINEAR[0]
         with pytest.raises(ValueError):
-            evaluate(c, linear_state(0.3), {})
+            evaluate([c], linear_state(0.3), {c.cid: {}})
 
 
 def nullifier_side(own, partner, partner_gain=None, p_gain=None):
@@ -262,22 +257,18 @@ class TestCriterionShape:
 
 class TestEvaluate:
     def test_3a_at_effective_squeezing(self):
-        c = LINEAR[0]
-        result = evaluate(c, linear_state(0.30), unit_gains([c]))
+        result = evaluate(LINEAR, linear_state(0.30), resolve_gains(LINEAR, "unit"))[0]
         assert result.lhs == pytest.approx(1.25 * np.exp(-0.6), abs=1e-12)
         assert result.lhs == pytest.approx(0.686, abs=5e-4)
         assert result.satisfied
 
     def test_3b_at_effective_squeezing(self):
-        c = LINEAR[1]
-        result = evaluate(c, linear_state(0.30), unit_gains([c]))
+        result = evaluate(LINEAR, linear_state(0.30), resolve_gains(LINEAR, "unit"))[1]
         assert result.lhs == pytest.approx(1.5 * np.exp(-0.6), abs=1e-12)
         assert result.lhs == pytest.approx(0.823, abs=5e-4)
 
     def test_vacuum_not_certified(self):
-        state = vacuum_state(8)
-        for c in LINEAR:
-            result = evaluate(c, state, unit_gains([c]))
+        for result in evaluate(LINEAR, vacuum_state(8), resolve_gains(LINEAR, "unit")):
             assert result.lhs >= result.bound
             assert not result.satisfied
 
@@ -308,13 +299,86 @@ class TestEvaluate:
             (DIAMOND, graphs.two_diamond(), diamond_state(0.37)),
         ):
             vectors = presets.nullifier_vectors(graph)
-            for c in criteria_set:
+            results = evaluate(criteria_set, state, resolve_gains(criteria_set, "unit"))
+            for c, result in zip(criteria_set, results):
                 u_mode = next(t.mode for t in c.u if t.quadrature == "p")
                 v_mode = next(t.mode for t in c.v if t.quadrature == "p")
                 expected = quadrature_variance(state, [vectors[u_mode - 1]])[0]
                 expected += quadrature_variance(state, [vectors[v_mode - 1]])[0]
-                result = evaluate(c, state, unit_gains([c]))
                 assert result.lhs == pytest.approx(expected, abs=1e-12)
+
+
+class TestListForms:
+    """Every routine that reads criteria takes the list of them."""
+
+    def test_an_empty_list_gives_empty_results(self):
+        state = linear_state(0.3)
+        assert evaluate([], state, {}) == []
+        assert optimal_gains_numeric([], state) == {}
+        assert vlf_bound([]).shape == (0,)
+        assert gram_block([], state.cov) == []
+        assert gram_block([], LINEAR_TERMS) == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, state: evaluate(c, state, resolve_gains([c], "unit")),
+            lambda c, state: optimal_gains_numeric(c, state),
+            lambda c, state: vlf_bound(c),
+            lambda c, state: gram_block(c, state.cov),
+            lambda c, state: lhs_curve(c, gram_block([c], LINEAR_TERMS), [0.3]),
+            lambda c, state: threshold_r(c, gram_block([c], LINEAR_TERMS)),
+        ],
+        ids=["evaluate", "optimal_gains_numeric", "vlf_bound", "gram_block", "lhs_curve",
+             "threshold_r"],
+    )
+    def test_a_bare_criterion_is_rejected(self, call):
+        with pytest.raises(TypeError):
+            call(LINEAR[0], linear_state(0.3))
+
+    @given(
+        case=graph_cases(max_modes=10),
+        gain_mode=st.sampled_from(["unit", "optimal"]),
+        uniform=st.booleans(),
+        data=st.data(),
+    )
+    def test_each_row_is_the_row_of_a_list_of_one(self, case, gain_mode, uniform, data):
+        # The stacked gain solves, variances and bounds give each criterion the
+        # bits it gets alone, in any order of the list.
+        criteria, unitary = case
+        n = len(unitary)
+        etas = data.draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
+        size = 1 if uniform else n
+        rs = data.draw(st.lists(st.floats(0.0, 1.5), min_size=size, max_size=size))
+        orientations = SqueezePattern.alternating(n, 0.0).orientations
+        pattern = SqueezePattern(orientations, tuple(rs * (n // size)))
+        loss = LossModel(tuple(etas))
+        state = presets.cluster_state(unitary, pattern, loss=loss)
+
+        gains = resolve_gains(criteria, gain_mode, state)
+        results = evaluate(criteria, state, gains)
+        bounds = vlf_bound(criteria).tolist()
+        blocks = gram_block(criteria, state.cov)
+        assert list(gains) == [c.cid for c in criteria] == [r.cid for r in results]
+        for c, result, bound, block in zip(criteria, results, bounds, blocks):
+            alone = resolve_gains([c], gain_mode, state)
+            assert alone == {c.cid: gains[c.cid]}, c.cid
+            assert evaluate([c], state, alone) == [result], c.cid
+            assert vlf_bound([c]).tolist() == [bound] == [result.bound], c.cid
+            assert np.array_equal(gram_block([c], state.cov)[0], block), c.cid
+
+        order = data.draw(st.permutations(range(len(criteria))))
+        shuffled = [criteria[i] for i in order]
+        assert evaluate(shuffled, state, resolve_gains(shuffled, gain_mode, state)) == [
+            results[i] for i in order
+        ]
+        assert vlf_bound(shuffled).tolist() == [bounds[i] for i in order]
+
+        if uniform:
+            terms = squeezing_terms(unitary, orientations, loss)
+            curve = lhs_curve(criteria, gram_block(criteria, terms), rs, gain_mode)[:, 0]
+            for c, result, lhs in zip(criteria, results, curve.tolist()):
+                assert abs(result.lhs - lhs) <= 1e-12 * abs(lhs), c.cid
 
 
 class TestOptimalGains:
@@ -328,27 +392,24 @@ class TestOptimalGains:
         assert all(v == pytest.approx(0.0, abs=1e-14) for v in optimal_gains_analytic(0.0).values())
 
     def test_numeric_matches_analytic_single_slot(self):
-        c = LINEAR[0]
-        numeric = optimal_gains_numeric(c, linear_state(0.5))
+        numeric = optimal_gains_numeric(LINEAR[:1], linear_state(0.5))["3a"]
         assert numeric["g_L3"] == pytest.approx(optimal_gains_analytic(0.5)["g_L3"], abs=1e-12)
 
     def test_numeric_zero_squeezing(self):
-        c = LINEAR[0]
-        numeric = optimal_gains_numeric(c, linear_state(0.0))
+        numeric = optimal_gains_numeric(LINEAR[:1], linear_state(0.0))["3a"]
         assert numeric["g_L3"] == pytest.approx(0.0, abs=1e-9)
 
     def test_numeric_4e(self):
-        c = DIAMOND[4]
-        numeric = optimal_gains_numeric(c, diamond_state(0.5))
+        numeric = optimal_gains_numeric(DIAMOND, diamond_state(0.5))["4e"]
         assert numeric["g_D6"] == pytest.approx(0.6005, abs=5e-5)
 
     @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 1.0])
     def test_numeric_matches_analytic_everywhere(self, r):
         analytic = optimal_gains_analytic(r)
-        for c in BUILTIN:
-            numeric = optimal_gains_numeric(c, builder_for(c)(r))
-            for name, value in numeric.items():
-                assert value == pytest.approx(analytic[name], abs=1e-12), (c.cid, name)
+        for criteria, state in ((LINEAR, linear_state(r)), (DIAMOND, diamond_state(r))):
+            for cid, numeric in optimal_gains_numeric(criteria, state).items():
+                for name, value in numeric.items():
+                    assert value == pytest.approx(analytic[name], abs=1e-12), (cid, name)
 
     @given(
         name=st.sampled_from(["linear8", "diamond8"]),
@@ -363,19 +424,25 @@ class TestOptimalGains:
             loss=LossModel(tuple(etas)),
         )
         step = 1e-3
-        for c in presets.builtin_criteria(name):
-            gains = optimal_gains_numeric(c, state)
-            best = evaluate(c, state, gains).lhs
+        criteria = presets.builtin_criteria(name)
+        tables = optimal_gains_numeric(criteria, state)
+        unit = evaluate(criteria, state, resolve_gains(criteria, "unit"))
+        for c, result, unit_result in zip(criteria, evaluate(criteria, state, tables), unit):
+            gains, best = tables[c.cid], result.lhs
             tol = 1e-12 * max(1.0, best)
+
+            def lhs(trial):
+                return evaluate([c], state, {c.cid: trial})[0].lhs
+
             # The sum is quadratic in the gains, so central differences are
             # exact up to rounding: the gradient vanishes at the solution.
             for slot in c.gain_names:
-                up = evaluate(c, state, {**gains, slot: gains[slot] + step}).lhs
-                down = evaluate(c, state, {**gains, slot: gains[slot] - step}).lhs
+                up = lhs({**gains, slot: gains[slot] + step})
+                down = lhs({**gains, slot: gains[slot] - step})
                 assert abs(up - down) / (2 * step) < 1e-9 * max(1.0, best), (c.cid, slot)
-            assert best <= evaluate(c, state, unit_gains([c])).lhs + tol, c.cid
+            assert best <= unit_result.lhs + tol, c.cid
             moved = {slot: g + d for (slot, g), d in zip(gains.items(), shifts)}
-            assert best <= evaluate(c, state, moved).lhs + tol, c.cid
+            assert best <= lhs(moved) + tol, c.cid
 
     def test_lhs_convex_in_each_gain(self):
         state = linear_state(0.4)
@@ -384,7 +451,7 @@ class TestOptimalGains:
             for name in c.gain_names:
                 def lhs(g):
                     trial = {**gains, name: g}
-                    return evaluate(c, state, trial).lhs
+                    return evaluate([c], state, {c.cid: trial})[0].lhs
 
                 second_difference = lhs(1.5) - 2 * lhs(0.5) + lhs(-0.5)
                 assert second_difference >= 0
@@ -392,27 +459,27 @@ class TestOptimalGains:
 
 class TestThresholds:
     def test_3a_unit_threshold(self):
-        value = threshold_r(LINEAR[:1], [gram_block(LINEAR[0], LINEAR_TERMS)], "unit")[0]
+        value = threshold_r(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS), "unit")[0]
         assert value == pytest.approx(0.5 * np.log(1.25), abs=1e-4)
 
     def test_4c_unit_threshold(self):
-        value = threshold_r(DIAMOND[2:3], [gram_block(DIAMOND[2], DIAMOND_TERMS)], "unit")[0]
+        value = threshold_r(DIAMOND[2:3], gram_block(DIAMOND[2:3], DIAMOND_TERMS), "unit")[0]
         assert value == pytest.approx(0.5 * np.log(1.75), abs=1e-4)
 
     def test_3a_optimal_never_crosses(self):
-        assert threshold_r(LINEAR[:1], [gram_block(LINEAR[0], LINEAR_TERMS)], "optimal")[0] is None
+        assert threshold_r(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS), "optimal")[0] is None
 
     def test_threshold_brackets_the_crossing(self):
-        c = LINEAR[0]
-        value = threshold_r([c], [gram_block(c, LINEAR_TERMS)], "unit")[0]
+        first = LINEAR[:1]
+        value = threshold_r(first, gram_block(first, LINEAR_TERMS), "unit")[0]
         eps = 1e-4
-        above = evaluate(c, linear_state(value + eps), unit_gains([c]))
-        below = evaluate(c, linear_state(value - eps), unit_gains([c]))
+        (above,) = evaluate(first, linear_state(value + eps), resolve_gains(first, "unit"))
+        (below,) = evaluate(first, linear_state(value - eps), resolve_gains(first, "unit"))
         assert above.lhs < above.bound < below.lhs
 
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
-            threshold_r(LINEAR[:1], [gram_block(LINEAR[0], LINEAR_TERMS)], "tuned")
+            threshold_r(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS), "tuned")
 
     def test_published_thresholds_are_tables_of_their_graph(self):
         linear = presets.PUBLISHED["linear8"].unit_gain_thresholds
@@ -423,20 +490,21 @@ class TestThresholds:
             assert set(table) <= {c.cid for c in presets.builtin_criteria(name)}, name
 
     def test_sweep_projects_each_criterion_once(self, monkeypatch, tmp_path):
-        # Both r-curves and both thresholds of a criterion read one Gram block;
-        # lhs_curve and threshold_r project nothing themselves.
+        # Both r-curves and both thresholds of a criterion read one Gram block,
+        # projected in one call for the whole set; lhs_curve and threshold_r
+        # project nothing themselves.
         projections = []
         original = criteria_module.gram_block
 
-        def counted(c, covs):
-            projections.append(c.cid)
-            return original(c, covs)
+        def counted(criteria, covs):
+            projections.append([c.cid for c in criteria])
+            return original(criteria, covs)
 
         for module in (criteria_module, cli):
             monkeypatch.setattr(module, "gram_block", counted)
         argv = ["sweep", "--config", "diamond8_physical", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
-        assert projections == [c.cid for c in DIAMOND]
+        assert projections == [[c.cid for c in DIAMOND]]
 
     @pytest.mark.parametrize("config, curve_calls", [("diamond8_physical", 24), ("linear8", 16)])
     def test_sweep_calls_threshold_r_once_per_block_size_and_gain_mode(
@@ -470,7 +538,7 @@ class TestThresholds:
 
     def test_each_criterion_needs_its_gram_block(self):
         # One block per criterion, of its own shape: 4a and 4b have 2 slots.
-        q = np.stack([gram_block(c, DIAMOND_TERMS) for c in DIAMOND[:2]])
+        q = np.stack(gram_block(DIAMOND[:2], DIAMOND_TERMS))
         with pytest.raises(ValueError, match="Gram block"):
             threshold_r(DIAMOND[:2], q[:1], "unit")
         with pytest.raises(ValueError, match="Gram block"):
@@ -498,26 +566,24 @@ class TestLhsCurve:
         etas = data.draw(st.one_of(st.none(), per_mode))
         loss = None if etas is None else LossModel(tuple(etas))
         terms = squeezing_terms(unitary, SqueezePattern.alternating(n, 0.0).orientations, loss)
-        for c in criteria:
-            q = gram_block(c, terms)
-            unit = lhs_curve([c], [q], rs, "unit")[0]
-            optimal = lhs_curve([c], [q], rs, "optimal")[0]
-            for r, unit_lhs, optimal_lhs in zip(rs, unit, optimal):
-                pattern = SqueezePattern.alternating(n, r)
-                state = presets.cluster_state(unitary, pattern, loss=loss)
-                expected_unit = evaluate(c, state, unit_gains([c])).lhs
-                expected_optimal = evaluate(c, state, optimal_gains_numeric(c, state)).lhs
-                assert abs(unit_lhs - expected_unit) <= 1e-12 * max(1.0, expected_unit)
-                assert abs(optimal_lhs - expected_optimal) <= 1e-12 * max(1.0, expected_optimal)
+        blocks = gram_block(criteria, terms)
+        for gain_mode in ("unit", "optimal"):
+            curves = lhs_curve(criteria, blocks, rs, gain_mode)
+            for r, column in zip(rs, curves.T.tolist()):
+                state = presets.cluster_state(unitary, SqueezePattern.alternating(n, r), loss=loss)
+                results = evaluate(criteria, state, resolve_gains(criteria, gain_mode, state))
+                for c, curve_lhs, result in zip(criteria, column, results):
+                    expected = result.lhs
+                    assert abs(curve_lhs - expected) <= 1e-12 * max(1.0, expected), c.cid
 
     def test_invalid_gain_mode_rejected(self):
         with pytest.raises(ValueError):
-            lhs_curve(LINEAR[:1], [gram_block(LINEAR[0], LINEAR_TERMS)], [0.3], "tuned")
+            lhs_curve(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS), [0.3], "tuned")
 
     def test_a_failed_gain_solve_in_a_stack_names_its_criteria(self):
         # 4c and 4d both have 3 slots.
         group = DIAMOND[2:4]
-        stack = np.stack([gram_block(c, DIAMOND_TERMS) for c in group])
+        stack = np.stack(gram_block(group, DIAMOND_TERMS))
         not_finite = stack.copy()
         not_finite[1, 2, 1:, :1] = np.nan
         with pytest.raises(RuntimeError, match="optimal gains of criterion 4d are not finite"):
@@ -539,8 +605,8 @@ class TestLhsCurve:
         criterion = graph_criteria(graph)[0]
         tracemalloc.start()
         try:
-            q = gram_block(criterion, terms)
-            lhs_curve([criterion], [q], np.linspace(0.05, 3.0, 60), "optimal")
+            q = gram_block([criterion], terms)
+            lhs_curve([criterion], q, np.linspace(0.05, 3.0, 60), "optimal")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -557,10 +623,10 @@ def closed_form_threshold(criterion, unitary, loss):
     rs = np.array([0.0, 0.5, 1.0])
     lhs = [
         evaluate(
-            criterion,
+            [criterion],
             presets.cluster_state(unitary, SqueezePattern.alternating(8, r), loss=loss),
-            unit_gains([criterion]),
-        ).lhs
+            resolve_gains([criterion], "unit"),
+        )[0].lhs
         for r in rs
     ]
     basis = np.column_stack([np.exp(-2 * rs), np.exp(2 * rs), np.ones(3)])
@@ -603,7 +669,7 @@ def threshold_config(label):
 
 def sequential_threshold(criterion, q, gain_mode):
     """The grid scan plus one single-point lhs_curve call per bisection step."""
-    bound = vlf_bound(criterion)
+    (bound,) = vlf_bound([criterion]).tolist()
     grid = np.linspace(0.0, 3.0, 61)
     lhs = lhs_curve([criterion], [q], grid[1:], gain_mode)[0]
     if np.all(lhs < bound):
@@ -626,9 +692,9 @@ def test_thresholds_match_closed_form(label):
     config = threshold_config(label)
     unitary, loss = config.build_unitary(), config.loss
     terms = squeezing_terms(unitary, config.pattern.orientations, loss)
-    for c in config.criteria():
-        expected = closed_form_threshold(c, unitary, loss)
-        assert abs(threshold_r([c], [gram_block(c, terms)], "unit")[0] - expected) < 1e-6, c.cid
+    criteria = config.criteria()
+    for c, value in zip(criteria, threshold_r(criteria, gram_block(criteria, terms), "unit")):
+        assert abs(value - closed_form_threshold(c, unitary, loss)) < 1e-6, c.cid
 
 
 def block_size_groups(criteria, terms):
@@ -637,7 +703,7 @@ def block_size_groups(criteria, terms):
     for c in criteria:
         groups.setdefault(len(c.gain_names), []).append(c)
     for group in groups.values():
-        blocks = [gram_block(c, terms) for c in group]
+        blocks = gram_block(group, terms)
         yield group, blocks, np.stack(blocks)
 
 
@@ -666,7 +732,7 @@ def test_mixed_slot_counts_give_each_criterion_its_own_result(gain_mode):
     # The 9 diamond criteria hold 3 slot counts; each row and threshold of
     # one call is the one its criterion alone gives, bit for bit.
     assert len({len(c.gain_names) for c in DIAMOND}) == 3
-    blocks = [gram_block(c, DIAMOND_TERMS) for c in DIAMOND]
+    blocks = gram_block(DIAMOND, DIAMOND_TERMS)
     rs = np.linspace(0.0, 3.0, 61)
     curves = lhs_curve(DIAMOND, blocks, rs, gain_mode)
     found = threshold_r(DIAMOND, blocks, gain_mode)
