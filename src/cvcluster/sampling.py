@@ -47,10 +47,11 @@ checks of ``diamond8_physical``):
 - One stream cannot be split over threads: the ziggurat draw takes a
   variable number of raw values per normal, so no jump lands on the k-th
   normal.  ``standard_normal`` releases the GIL while it fills: two threads
-  on separate generators drew twice the normals of one in the same wall
-  time, at twice the CPU time.  An earlier reading of 1.05 s against 0.53 s,
-  with CPU time equal to wall time, matched a first trial in which a
-  GIL-free control (``np.sort``) ran serially as well.
+  on separate generators drew twice the normals of one in about the same
+  wall time, at twice the CPU time (3 of 5 trials with 2**16-value fills,
+  4 of 4 with 2**21).  An earlier reading of 1.05 s against 0.53 s, with
+  CPU time equal to wall time, matched a first trial in which a GIL-free
+  control (``np.sort``) ran serially as well.
 - A thread drawing one or eight blocks ahead gave the same estimates bit for
   bit, but took 0.30-0.41 s against 0.27-0.39 s inline (5 trials), with CPU
   time equal to wall time: the draws did not overlap the projections.
