@@ -46,8 +46,8 @@ import numpy as np
 
 from . import __version__, presets, reference
 from .config import BUILTIN_CONFIGS, ConfigError, ExperimentConfig, load_config
-from .criteria import full_inseparability_report, gram_block, lhs_curve, resolve_gains
-from .criteria import threshold_r, vlf_bound
+from .criteria import GAIN_MODES, full_inseparability_report, gram_block, lhs_curve
+from .criteria import resolve_gains, threshold_r, vlf_bound
 from .gaussian import (
     excess_noise_decomposition,
     qnl_variance,
@@ -205,8 +205,8 @@ def cmd_compile(args, config: ExperimentConfig, out: Path) -> int:
     _write_json(out / "gram_factor.json", gram_payload)
 
     if config.graph_name == "linear8":
-        sequence = presets.CHAIN8_ELEMENTS
-        composed = compose_sequence(sequence, 8)
+        sequence, n = presets.CHAIN8_ELEMENTS, config.graph.n
+        composed = compose_sequence(sequence, n)
         deviation = float(np.max(np.abs(composed - unitary)))
         if deviation > 1e-12:
             raise RuntimeError(
@@ -218,7 +218,7 @@ def cmd_compile(args, config: ExperimentConfig, out: Path) -> int:
                 "graph": label,
                 "max_deviation_from_network": deviation,
                 "sequence": [asdict(e) for e in sequence],
-                "matrices": _complex_pairs(np.array([element_matrix(e, 8) for e in sequence])),
+                "matrices": _complex_pairs(np.array([element_matrix(e, n) for e in sequence])),
             },
         )
         print(f"wrote unitary.json, gram_factor.json, elements.json to {out}")
@@ -356,11 +356,9 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
     terms = squeezing_terms(config.build_unitary(), config.pattern.orientations, config.loss)
     blocks = gram_block(criteria, terms)
     bounds = [f"{bound:.12g}" for bound in vlf_bound(criteria).tolist()]
-    modes = ("unit", "optimal")
     # curves[gain mode, criterion, grid point]; found[criterion][gain mode].
-    curves = np.array([lhs_curve(criteria, blocks, grid, mode) for mode in modes])
-    crossings = [threshold_r(criteria, blocks, mode) for mode in modes]
-    found = [dict(zip(modes, values)) for values in zip(*crossings)]
+    curves = lhs_curve(criteria, blocks, grid)
+    found = [dict(zip(GAIN_MODES, values)) for values in zip(*threshold_r(criteria, blocks))]
 
     # One row per (r, criterion): r, id, both curves, bound.
     table = np.empty((steps, len(criteria), 5), dtype=object)

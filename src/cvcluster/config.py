@@ -111,19 +111,20 @@ class ExperimentConfig:
         )
 
     def criteria(self) -> list[Criterion]:
-        """The published inequalities on a builtin graph, the generated ones otherwise."""
+        """The graph's inequalities, under the published labels on a builtin graph."""
         return list(_criteria(self.graph, self.graph_name))
 
 
 # The one criteria cache: a config's gain-slot check, its ``with_gains`` copy
-# and the command read one build per graph.  Bounded because an entry can be
-# large (custom256's criteria with their affine forms hold about 21 MiB); four
-# entries keep both builtins and two custom graphs.
+# and the command read one build per graph.  Every graph's criteria come from
+# graph_criteria; a builtin graph passes its published labels, a custom graph
+# none.  Bounded because an entry can be large (custom256's criteria with
+# their affine forms hold about 21 MiB); four entries keep both builtins and
+# two custom graphs.
 @lru_cache(maxsize=4)
 def _criteria(graph: graphs.Graph, graph_name: str | None) -> tuple[Criterion, ...]:
-    if graph_name is None:
-        return tuple(graph_criteria(graph))
-    return presets.builtin_criteria(graph_name)
+    labels = presets.PUBLISHED[graph_name].labels if graph_name is not None else {}
+    return tuple(graph_criteria(graph, **labels))
 
 
 def _parse_graph(raw) -> tuple[graphs.Graph, str | None]:

@@ -21,7 +21,9 @@ threshold's bisection evaluates several levels of midpoints per curve call.
 Every routine that reads criteria takes the list of them.  The gain solve,
 the curves and the thresholds stack the criteria that share a slot count, and
 :func:`evaluate` stacks the sides of all of them, so each stack is one product
-per call and each row reads the bits a stack of one would.
+per call and each row reads the bits a stack of one would.  The curves and
+thresholds come in both gain modes at once, unit gains and the gains solved
+at each r, in the order of ``GAIN_MODES``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .gaussian import (
 )
 
 __all__ = [
+    "GAIN_MODES",
     "Term",
     "Criterion",
     "CriterionResult",
@@ -59,6 +62,9 @@ __all__ = [
 ]
 
 GainSet = Mapping[str, float]
+
+# The gain modes of lhs_curve and threshold_r, in the order they return them.
+GAIN_MODES = ("unit", "optimal")
 
 
 @dataclass(frozen=True)
@@ -335,11 +341,10 @@ def _abridged(names) -> str:
     return f"{names[:10]} and {len(names) - 10} more"
 
 
-def _stacks(criteria, blocks, gain_mode: str) -> list:
+def _stacks(criteria, blocks) -> list:
     """The criteria grouped by slot count: (indices, criteria, (C, 3, S, S) block stack).
 
-    Checks the gain mode, and that each block is its criterion's (3, S, S) Gram
-    block stack, S = 1 + slots.
+    Checks that each block is its criterion's (3, S, S) Gram block stack, S = 1 + slots.
     """
     if len(blocks) != len(criteria):
         raise ValueError(f"need a Gram block per criterion, got {len(blocks)} for {len(criteria)}")
@@ -347,8 +352,6 @@ def _stacks(criteria, blocks, gain_mode: str) -> list:
         shape = (3, 1 + len(c.gain_names), 1 + len(c.gain_names))
         if np.shape(q) != shape:
             raise ValueError(f"expected the {shape} Gram block of {c.cid}, got shape {np.shape(q)}")
-    if gain_mode not in ("unit", "optimal"):
-        raise ValueError(f"gain_mode must be 'unit' or 'optimal', got {gain_mode!r}")
     return [
         (members, group, np.stack([blocks[i] for i in members]))
         for members, group in _slot_groups(criteria)
@@ -369,19 +372,18 @@ def _curves(criteria: list[Criterion], q: np.ndarray, rs: np.ndarray, gain_mode:
     return np.einsum("mi,mij,mj->m", vecs, grams, vecs).reshape(count, -1)
 
 
-def lhs_curve(criteria, blocks, rs, gain_mode: str = "unit") -> np.ndarray:
-    """(C, len(rs)) variance sums of C criteria at every squeezing value in ``rs``.
+def lhs_curve(criteria, blocks, rs) -> np.ndarray:
+    """(2, C, len(rs)) variance sums of C criteria at every squeezing value in ``rs``.
 
     ``blocks`` holds the criteria's projected stacks Q = gram_block(criteria,
     K) of the :func:`cvcluster.gaussian.squeezing_terms` stack K, each of shape
-    (3, 1 + slots, 1 + slots).  ``gain_mode`` "unit" sets every gain to 1,
-    "optimal" solves them at each r.
+    (3, 1 + slots, 1 + slots).  The first axis follows ``GAIN_MODES``: every
+    gain set to 1, then the gains solved at each r.
     """
-    stacks = _stacks(criteria, blocks, gain_mode)
     rs = np.asarray(rs, dtype=float)
-    curves = np.empty((len(criteria), rs.size))
-    for members, group, q in stacks:
-        curves[members] = _curves(group, q, rs, gain_mode)
+    curves = np.empty((len(GAIN_MODES), len(criteria), rs.size))
+    for members, group, q in _stacks(criteria, blocks):
+        curves[:, members] = [_curves(group, q, rs, mode) for mode in GAIN_MODES]
     return curves
 
 
@@ -392,30 +394,32 @@ _LEVELS = 4
 _SCAN = np.linspace(0.0, 3.0, 61)
 
 
-def threshold_r(criteria, blocks, gain_mode: str = "unit") -> list:
-    """Squeezing value where each criterion's variance sum crosses its bound.
+def threshold_r(criteria, blocks) -> tuple[list, list]:
+    """Squeezing value where each criterion's variance sum crosses its bound, per gain mode.
 
-    Scans r over (0, 3] in steps of 0.05 and bisects the first sign change of
-    ``lhs(r) - bound`` to within 1e-6.  A criterion's value is None when it is
-    satisfied on the whole grid and inf when it is satisfied nowhere on it,
-    as under heavy loss.  Only the first crossing is reported: with per-mode
-    efficiencies the optimal-gain curve starts exactly at the bound, so
-    ``sweep`` writes 3.8e-7 and a later failure goes unreported.  The bound
-    is :func:`vlf_bound`, which does not depend on the gains.
+    Returns one list per mode of ``GAIN_MODES``, unit gains first, each with
+    one value per criterion.  Scans r over (0, 3] in steps of 0.05 and bisects
+    the first sign change of ``lhs(r) - bound`` to within 1e-6.  A criterion's
+    value is None when it is satisfied on the whole grid and inf when it is
+    satisfied nowhere on it, as under heavy loss.  Only the first crossing is
+    reported: with per-mode efficiencies the optimal-gain curve starts exactly
+    at the bound, so ``sweep`` writes 3.8e-7 and a later failure goes
+    unreported.  The bound is :func:`vlf_bound`, which does not depend on the
+    gains.
 
     ``criteria`` and ``blocks`` are as for :func:`lhs_curve`.  One curve call
-    scans every criterion of a slot count, and each further call advances
-    every open bracket by ``_LEVELS`` bisection steps: the next midpoints of a
-    bracket [lo, hi] lie on a grid nested by repeated ``0.5 * (a + b)``, the
-    same floats one step at a time would reach, so all of its interior points
-    are evaluated at once and the bracket then walks down through them on its
-    own decisions.
+    scans every criterion of a slot count in one gain mode, and each further
+    call advances every open bracket by ``_LEVELS`` bisection steps: the next
+    midpoints of a bracket [lo, hi] lie on a grid nested by repeated
+    ``0.5 * (a + b)``, the same floats one step at a time would reach, so all
+    of its interior points are evaluated at once and the bracket then walks
+    down through them on its own decisions.
     """
-    stacks = _stacks(criteria, blocks, gain_mode)
-    found = [None] * len(criteria)
-    for members, group, q in stacks:
-        for i, value in zip(members, _thresholds(group, q, gain_mode)):
-            found[i] = value
+    found = tuple([None] * len(criteria) for _ in GAIN_MODES)
+    for members, group, q in _stacks(criteria, blocks):
+        for mode, values in zip(GAIN_MODES, found):
+            for i, value in zip(members, _thresholds(group, q, mode)):
+                values[i] = value
     return found
 
 

@@ -11,6 +11,8 @@ the state builder of :mod:`cvcluster.gaussian`, is bound here for their callers.
 ``PUBLISHED`` holds each builtin graph with the labels of its inequalities,
 its printed noise-term table, its measured variance sums and its quoted
 unit-gain thresholds; every use of a builtin's tables looks it up there by name.
+The inequalities themselves come from :func:`.criteria.graph_criteria` with
+those labels, as every config builds them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 
 from . import graphs, reference
 from .gaussian import cluster_state
-from .criteria import Criterion, graph_criteria
 from .network import NetworkElement, compile_cluster_unitary
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "PublishedExperiment",
     "PUBLISHED",
     "builtin_network",
-    "builtin_criteria",
     "nullifier_vectors",
     "cluster_state",
 ]
@@ -148,15 +148,6 @@ def builtin_network(name: str) -> tuple[np.ndarray, np.ndarray]:
     for matrix in network:
         matrix.setflags(write=False)
     return network
-
-
-def builtin_criteria(name: str) -> tuple[Criterion, ...]:
-    """The published inequalities of a builtin graph, under their published labels.
-
-    Built on every call; configs read them through the one criteria cache of
-    :mod:`.config`.
-    """
-    return tuple(graph_criteria(PUBLISHED[name].graph, **PUBLISHED[name].labels))
 
 
 def nullifier_vectors(graph: graphs.Graph) -> list[np.ndarray]:

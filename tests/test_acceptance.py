@@ -46,8 +46,8 @@ def diamond_state(r):
     return presets.cluster_state(DIAMOND_NETWORK, SqueezePattern.alternating(8, r))
 
 
-LINEAR = presets.builtin_criteria("linear8")
-DIAMOND = presets.builtin_criteria("diamond8")
+LINEAR = load_config("linear8").criteria()
+DIAMOND = load_config("diamond8").criteria()
 
 
 def test_acceptance_1_compiler_fidelity():
@@ -215,13 +215,13 @@ def test_acceptance_6_thresholds():
     }
     computed = {}
     for cid, (criterion, terms, expected) in targets.items():
-        value = threshold_r([criterion], gram_block([criterion], terms), "unit")[0]
+        (value,), _ = threshold_r([criterion], gram_block([criterion], terms))
         computed[cid] = value
         assert value == pytest.approx(expected, abs=1e-4), cid
 
     notes = []
     for cid in ("3c", "3d"):
-        value = threshold_r([lin[cid]], gram_block([lin[cid]], linear_terms), "unit")[0]
+        (value,), _ = threshold_r([lin[cid]], gram_block([lin[cid]], linear_terms))
         assert value == pytest.approx(0.5 * np.log(1.5), abs=1e-4)
         published = presets.PUBLISHED["linear8"].unit_gain_thresholds[cid]
         notes.append(

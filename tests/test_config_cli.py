@@ -594,6 +594,24 @@ def test_round_trip_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_every_command_runs_on_a_one_mode_graph(tmp_path):
+    # A graph without edges has no criteria: the curves and thresholds of the
+    # empty set are empty in both gain modes, so sweep writes only headers.
+    config = tmp_path / "one_mode.json"
+    raw = {
+        "graph": {"n": 1, "edges": []},
+        "squeeze": {"r": 0.5},
+        "loss": {"eta": 1.0},
+        "sweep": {"r_min": 0.0, "r_max": 1.0, "steps": 5},
+    }
+    config.write_text(json.dumps(raw))
+    out = str(tmp_path / "out")
+    for command in (["compile"], ["simulate"], ["criteria"], ["sweep"], ["sample", "--n", "1000"]):
+        assert main(command + ["--config", str(config), "--out", out]) == 0, command[0]
+    assert (tmp_path / "out" / "sweep.csv").read_text() == "r,criterion,lhs_unit,lhs_optimal,bound\n"
+    assert json.loads((tmp_path / "out" / "thresholds.json").read_text())["thresholds"] == []
+
+
 def test_one_process_rewrites_what_its_first_calls_wrote(tmp_path, capsys):
     # main parses with one parser per process and a builtin's criteria are
     # built once per name: no call may see state left by an earlier one,

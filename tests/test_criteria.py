@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from cvcluster import cli, graphs, presets
 from cvcluster import criteria as criteria_module
-from cvcluster.config import parse_config
+from cvcluster.config import load_config, parse_config
 from cvcluster.criteria import (
+    GAIN_MODES,
     Criterion,
     Term,
     evaluate,
@@ -49,8 +50,8 @@ def diamond_state(r):
     )
 
 
-LINEAR = presets.builtin_criteria("linear8")
-DIAMOND = presets.builtin_criteria("diamond8")
+LINEAR = load_config("linear8").criteria()
+DIAMOND = load_config("diamond8").criteria()
 BUILTIN = LINEAR + DIAMOND
 ORIENTATIONS = SqueezePattern.alternating(8, 0.0).orientations
 LINEAR_TERMS = squeezing_terms(presets.builtin_network("linear8")[1], ORIENTATIONS)
@@ -63,7 +64,7 @@ def graph_cases(draw, max_modes=12):
     2..max_modes modes (with a triangle on modes 1-3 in about half of them)."""
     name = draw(st.sampled_from(["linear8", "diamond8", "random"]))
     if name != "random":
-        return presets.builtin_criteria(name), presets.builtin_network(name)[1]
+        return load_config(name).criteria(), presets.builtin_network(name)[1]
     n = draw(st.integers(2, max_modes))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     edges = draw(st.sets(st.sampled_from(pairs)))
@@ -115,7 +116,7 @@ class TestCriterionSets:
     @pytest.mark.parametrize("name", ["linear8", "diamond8"])
     def test_generated_criteria_match_published_table(self, name):
         table = PUBLISHED_CRITERIA[name]
-        criteria = presets.builtin_criteria(name)
+        criteria = load_config(name).criteria()
         assert [c.cid for c in criteria] == list(table)
         rng = np.random.default_rng(5)
         for c, (u, v, bipartition) in zip(criteria, table.values()):
@@ -189,7 +190,7 @@ class TestBound:
         state = vacuum_state(len(terms[0]) // 2)
         results = evaluate(criteria, state, {c.cid: gains for c in criteria})
         assert [r.bound for r in results] == vlf_bound(criteria).tolist() == [1.0] * len(criteria)
-        threshold_r(criteria, gram_block(criteria, terms), "optimal")
+        threshold_r(criteria, gram_block(criteria, terms))
 
     def test_3a_bound_with_scaled_gain(self):
         c = LINEAR[0]
@@ -376,7 +377,8 @@ class TestListForms:
 
         if uniform:
             terms = squeezing_terms(unitary, orientations, loss)
-            curve = lhs_curve(criteria, gram_block(criteria, terms), rs, gain_mode)[:, 0]
+            curves = lhs_curve(criteria, gram_block(criteria, terms), rs)
+            curve = curves[GAIN_MODES.index(gain_mode), :, 0]
             for c, result, lhs in zip(criteria, results, curve.tolist()):
                 assert abs(result.lhs - lhs) <= 1e-12 * abs(lhs), c.cid
 
@@ -424,7 +426,7 @@ class TestOptimalGains:
             loss=LossModel(tuple(etas)),
         )
         step = 1e-3
-        criteria = presets.builtin_criteria(name)
+        criteria = load_config(name).criteria()
         tables = optimal_gains_numeric(criteria, state)
         unit = evaluate(criteria, state, resolve_gains(criteria, "unit"))
         for c, result, unit_result in zip(criteria, evaluate(criteria, state, tables), unit):
@@ -459,27 +461,24 @@ class TestOptimalGains:
 
 class TestThresholds:
     def test_3a_unit_threshold(self):
-        value = threshold_r(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS), "unit")[0]
+        (value,), _ = threshold_r(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS))
         assert value == pytest.approx(0.5 * np.log(1.25), abs=1e-4)
 
     def test_4c_unit_threshold(self):
-        value = threshold_r(DIAMOND[2:3], gram_block(DIAMOND[2:3], DIAMOND_TERMS), "unit")[0]
+        (value,), _ = threshold_r(DIAMOND[2:3], gram_block(DIAMOND[2:3], DIAMOND_TERMS))
         assert value == pytest.approx(0.5 * np.log(1.75), abs=1e-4)
 
     def test_3a_optimal_never_crosses(self):
-        assert threshold_r(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS), "optimal")[0] is None
+        _, (value,) = threshold_r(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS))
+        assert value is None
 
     def test_threshold_brackets_the_crossing(self):
         first = LINEAR[:1]
-        value = threshold_r(first, gram_block(first, LINEAR_TERMS), "unit")[0]
+        (value,), _ = threshold_r(first, gram_block(first, LINEAR_TERMS))
         eps = 1e-4
         (above,) = evaluate(first, linear_state(value + eps), resolve_gains(first, "unit"))
         (below,) = evaluate(first, linear_state(value - eps), resolve_gains(first, "unit"))
         assert above.lhs < above.bound < below.lhs
-
-    def test_invalid_gain_mode_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_r(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS), "tuned")
 
     def test_published_thresholds_are_tables_of_their_graph(self):
         linear = presets.PUBLISHED["linear8"].unit_gain_thresholds
@@ -487,7 +486,7 @@ class TestThresholds:
         assert linear == {"3a": 0.11, "3b": 0.20, "3c": 0.24, "3d": 0.27}
         assert diamond == {"4a": 0.20, "4c": 0.28, "4e": 0.35}
         for name, table in (("linear8", linear), ("diamond8", diamond)):
-            assert set(table) <= {c.cid for c in presets.builtin_criteria(name)}, name
+            assert set(table) <= {c.cid for c in load_config(name).criteria()}, name
 
     def test_sweep_projects_each_criterion_once(self, monkeypatch, tmp_path):
         # Both r-curves and both thresholds of a criterion read one Gram block,
@@ -513,13 +512,19 @@ class TestThresholds:
         # Criteria with one slot count share a block stack inside lhs_curve
         # and threshold_r: diamond8 has 3 slot counts and linear8 2, each
         # curved, scanned and bisected in both gain modes.  The counts are
-        # those of a sweep that grouped the criteria itself.
-        stacks, curves = [], []
+        # those of a sweep that grouped the criteria itself.  sweep calls
+        # threshold_r once, and it thresholds each stack once per gain mode.
+        calls, stacks, curves = [], [], []
         original, original_curves = criteria_module.threshold_r, criteria_module._curves
+        original_thresholds = criteria_module._thresholds
 
-        def counted(criteria, blocks, gain_mode):
+        def counted(criteria, blocks):
+            calls.append([c.cid for c in criteria])
+            return original(criteria, blocks)
+
+        def counted_thresholds(criteria, q, gain_mode):
             stacks.append(([c.cid for c in criteria], gain_mode))
-            return original(criteria, blocks, gain_mode)
+            return original_thresholds(criteria, q, gain_mode)
 
         def counted_curves(*args):
             curves.append(args)
@@ -527,12 +532,14 @@ class TestThresholds:
 
         for module in (criteria_module, cli):
             monkeypatch.setattr(module, "threshold_r", counted)
+        monkeypatch.setattr(criteria_module, "_thresholds", counted_thresholds)
         monkeypatch.setattr(criteria_module, "_curves", counted_curves)
         argv = ["sweep", "--config", config, "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         assert len(curves) == curve_calls
         cids = [c.cid for c in parse_config(json.loads(builtin_json(config))).criteria()]
-        for gain_mode in ("unit", "optimal"):
+        assert calls == [cids]
+        for gain_mode in GAIN_MODES:
             thresholded = [cid for group, mode in stacks if mode == gain_mode for cid in group]
             assert sorted(thresholded) == sorted(cids), gain_mode
 
@@ -540,17 +547,17 @@ class TestThresholds:
         # One block per criterion, of its own shape: 4a and 4b have 2 slots.
         q = np.stack(gram_block(DIAMOND[:2], DIAMOND_TERMS))
         with pytest.raises(ValueError, match="Gram block"):
-            threshold_r(DIAMOND[:2], q[:1], "unit")
+            threshold_r(DIAMOND[:2], q[:1])
         with pytest.raises(ValueError, match="Gram block"):
-            threshold_r(DIAMOND[:1], q[0], "unit")
+            threshold_r(DIAMOND[:1], q[0])
 
     def test_a_covariance_stack_is_not_a_gram_block(self):
         # The (3, 2n, 2n) stack K must be projected first: 1 + slots < 2n.
         for c, terms in [(LINEAR[0], LINEAR_TERMS), (DIAMOND[4], DIAMOND_TERMS)]:
             with pytest.raises(ValueError, match="Gram block"):
-                lhs_curve([c], [terms], [0.3], "unit")
+                lhs_curve([c], [terms], [0.3])
             with pytest.raises(ValueError, match="Gram block"):
-                threshold_r([c], [terms], "optimal")
+                threshold_r([c], [terms])
 
 
 class TestLhsCurve:
@@ -567,18 +574,13 @@ class TestLhsCurve:
         loss = None if etas is None else LossModel(tuple(etas))
         terms = squeezing_terms(unitary, SqueezePattern.alternating(n, 0.0).orientations, loss)
         blocks = gram_block(criteria, terms)
-        for gain_mode in ("unit", "optimal"):
-            curves = lhs_curve(criteria, blocks, rs, gain_mode)
+        for gain_mode, curves in zip(GAIN_MODES, lhs_curve(criteria, blocks, rs)):
             for r, column in zip(rs, curves.T.tolist()):
                 state = presets.cluster_state(unitary, SqueezePattern.alternating(n, r), loss=loss)
                 results = evaluate(criteria, state, resolve_gains(criteria, gain_mode, state))
                 for c, curve_lhs, result in zip(criteria, column, results):
                     expected = result.lhs
                     assert abs(curve_lhs - expected) <= 1e-12 * max(1.0, expected), c.cid
-
-    def test_invalid_gain_mode_rejected(self):
-        with pytest.raises(ValueError):
-            lhs_curve(LINEAR[:1], gram_block(LINEAR[:1], LINEAR_TERMS), [0.3], "tuned")
 
     def test_a_failed_gain_solve_in_a_stack_names_its_criteria(self):
         # 4c and 4d both have 3 slots.
@@ -587,11 +589,11 @@ class TestLhsCurve:
         not_finite = stack.copy()
         not_finite[1, 2, 1:, :1] = np.nan
         with pytest.raises(RuntimeError, match="optimal gains of criterion 4d are not finite"):
-            lhs_curve(group, not_finite, [0.3, 0.6], "optimal")
+            lhs_curve(group, not_finite, [0.3, 0.6])
         singular = stack.copy()
         singular[0] = 0.0
         with pytest.raises(RuntimeError, match="gain system of criterion 4c, 4d is singular"):
-            threshold_r(group, singular, "optimal")
+            threshold_r(group, singular)
 
     def test_peak_memory_of_a_128_mode_curve_is_under_1_mb(self):
         # A criterion's sides touch only the modes of N[a] and N[b], so its
@@ -606,7 +608,7 @@ class TestLhsCurve:
         tracemalloc.start()
         try:
             q = gram_block([criterion], terms)
-            lhs_curve([criterion], q, np.linspace(0.05, 3.0, 60), "optimal")
+            lhs_curve([criterion], q, np.linspace(0.05, 3.0, 60))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -670,8 +672,9 @@ def threshold_config(label):
 def sequential_threshold(criterion, q, gain_mode):
     """The grid scan plus one single-point lhs_curve call per bisection step."""
     (bound,) = vlf_bound([criterion]).tolist()
+    mode = GAIN_MODES.index(gain_mode)
     grid = np.linspace(0.0, 3.0, 61)
-    lhs = lhs_curve([criterion], [q], grid[1:], gain_mode)[0]
+    lhs = lhs_curve([criterion], [q], grid[1:])[mode, 0]
     if np.all(lhs < bound):
         return None
     if np.all(lhs > bound):
@@ -680,7 +683,7 @@ def sequential_threshold(criterion, q, gain_mode):
     lo, hi = grid[first], grid[first + 1]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if lhs_curve([criterion], [q], [mid], gain_mode)[0, 0] > bound:
+        if lhs_curve([criterion], [q], [mid])[mode, 0, 0] > bound:
             lo = mid
         else:
             hi = mid
@@ -693,7 +696,8 @@ def test_thresholds_match_closed_form(label):
     unitary, loss = config.build_unitary(), config.loss
     terms = squeezing_terms(unitary, config.pattern.orientations, loss)
     criteria = config.criteria()
-    for c, value in zip(criteria, threshold_r(criteria, gram_block(criteria, terms), "unit")):
+    unit, _ = threshold_r(criteria, gram_block(criteria, terms))
+    for c, value in zip(criteria, unit):
         assert abs(value - closed_form_threshold(c, unitary, loss)) < 1e-6, c.cid
 
 
@@ -716,14 +720,14 @@ def test_batched_bisection_equals_the_sequential_one(label):
     terms = squeezing_terms(config.build_unitary(), config.pattern.orientations, config.loss)
     rs = np.linspace(0.0, 3.0, 61)
     for group, blocks, stack in block_size_groups(config.criteria(), terms):
-        for gain_mode in ("unit", "optimal"):
-            stacked = threshold_r(group, stack, gain_mode)
-            curves = lhs_curve(group, stack, rs, gain_mode)
+        found, all_curves = threshold_r(group, stack), lhs_curve(group, stack, rs)
+        for mode, gain_mode in enumerate(GAIN_MODES):
+            stacked, curves = found[mode], all_curves[mode]
             assert len(stacked) == len(group) and curves.shape == (len(group), len(rs))
             for c, q, value, curve in zip(group, blocks, stacked, curves):
-                assert threshold_r([c], [q], gain_mode) == [value], (c.cid, gain_mode)
+                assert threshold_r([c], [q])[mode] == [value], (c.cid, gain_mode)
                 assert value == sequential_threshold(c, q, gain_mode), (c.cid, gain_mode)
-                single = lhs_curve([c], [q], rs, gain_mode)[0]
+                single = lhs_curve([c], [q], rs)[mode, 0]
                 assert np.array_equal(curve, single), (c.cid, gain_mode)
 
 
@@ -734,12 +738,13 @@ def test_mixed_slot_counts_give_each_criterion_its_own_result(gain_mode):
     assert len({len(c.gain_names) for c in DIAMOND}) == 3
     blocks = gram_block(DIAMOND, DIAMOND_TERMS)
     rs = np.linspace(0.0, 3.0, 61)
-    curves = lhs_curve(DIAMOND, blocks, rs, gain_mode)
-    found = threshold_r(DIAMOND, blocks, gain_mode)
+    mode = GAIN_MODES.index(gain_mode)
+    curves = lhs_curve(DIAMOND, blocks, rs)[mode]
+    found = threshold_r(DIAMOND, blocks)[mode]
     assert curves.shape == (9, len(rs)) and len(found) == 9
     for c, q, curve, value in zip(DIAMOND, blocks, curves, found):
-        assert np.array_equal(curve, lhs_curve([c], [q], rs, gain_mode)[0]), c.cid
-        assert threshold_r([c], [q], gain_mode) == [value], c.cid
+        assert np.array_equal(curve, lhs_curve([c], [q], rs)[mode, 0]), c.cid
+        assert threshold_r([c], [q])[mode] == [value], c.cid
 
 
 @given(case=graph_cases(), data=st.data())
@@ -754,12 +759,12 @@ def test_batched_bisection_matches_the_sequential_one_on_random_graphs(case, dat
     orientations = SqueezePattern.alternating(n, 0.0).orientations
     terms = squeezing_terms(unitary, orientations, LossModel(tuple(etas)))
     for group, blocks, stack in block_size_groups(criteria, terms):
-        for gain_mode in ("unit", "optimal"):
-            stacked = threshold_r(group, stack, gain_mode)
-            curves = lhs_curve(group, stack, rs, gain_mode)
+        found, all_curves = threshold_r(group, stack), lhs_curve(group, stack, rs)
+        for mode, gain_mode in enumerate(GAIN_MODES):
+            stacked, curves = found[mode], all_curves[mode]
             for c, q, batched, curve in zip(group, blocks, stacked, curves):
-                assert threshold_r([c], [q], gain_mode) == [batched], (c.cid, gain_mode)
-                single = lhs_curve([c], [q], rs, gain_mode)[0]
+                assert threshold_r([c], [q])[mode] == [batched], (c.cid, gain_mode)
+                single = lhs_curve([c], [q], rs)[mode, 0]
                 assert np.array_equal(curve, single), (c.cid, gain_mode)
                 sequential = sequential_threshold(c, q, gain_mode)
                 if sequential is None or sequential == np.inf:

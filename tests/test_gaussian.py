@@ -161,6 +161,14 @@ class TestVariances:
         assert quadrature_variance(state, [c])[0] == pytest.approx(np.exp(-1.0) / 2, abs=1e-12)
         assert quadrature_variance(state, [c])[0] == pytest.approx(0.18394, abs=5e-6)
 
+    def test_combination_mode_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            combination_vector(2, [(3, "x", 1.0)])
+
+    def test_combination_quadrature_other_than_x_or_p_rejected(self):
+        with pytest.raises(ValueError, match="quadrature must be"):
+            combination_vector(2, [(1, "q", 1.0)])
+
     def test_zero_vector_gives_zero(self):
         assert quadrature_variance(vacuum_state(4), [np.zeros(8)])[0] == 0.0
 

@@ -113,6 +113,11 @@ class TestGramFactorSequential:
         with pytest.raises(ValueError):
             network.gram_factor_sequential(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_near_singular_pivot_rejected(self):
+        # Cholesky succeeds, but a pivot of 1e-13 is below the 1e-12 floor.
+        with pytest.raises(ValueError, match="not positive definite"):
+            network.gram_factor_sequential(np.diag([1.0, 1e-13]))
+
     def test_explicit_pivot_signs_flip_columns(self):
         base = network.gram_factor_sequential(
             CHAIN8_GRAM_INVERSE, pivot_signs=presets.CHAIN8_PIVOT_SIGNS
@@ -182,6 +187,14 @@ class TestAssembleUnitary:
             u = network.assemble_unitary(a, factor)
             eye = np.eye(a.shape[0])
             assert np.max(np.abs(u @ u.conj().T - eye)) < 1e-12
+
+    def test_asymmetric_adjacency_rejected(self):
+        with pytest.raises(ValueError, match="must be symmetric"):
+            network.assemble_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            network.assemble_unitary(np.zeros((2, 2)), np.eye(3))
 
     def test_gram_precondition_enforced(self):
         a = chain8_adjacency()
@@ -297,6 +310,18 @@ class TestElements:
         with pytest.raises(ValueError):
             network.element_matrix(network.NetworkElement("fourier", (5,)), 4)
 
+    def test_repeated_beamsplitter_mode_rejected(self):
+        with pytest.raises(ValueError, match="two distinct modes"):
+            network.NetworkElement("beamsplitter", (2, 2), 0.5, +1)
+
+    def test_beamsplitter_sign_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            network.NetworkElement("beamsplitter", (1, 2), 0.5, 0)
+
+    def test_single_mode_kind_given_two_modes_rejected(self):
+        with pytest.raises(ValueError, match="exactly one mode"):
+            network.NetworkElement("fourier", (1, 2))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             network.NetworkElement("rotation", (1,))
@@ -348,3 +373,13 @@ def test_pipeline_matches_published_chain_network():
 
 def test_published_chain_network_is_the_one_pipeline():
     assert np.array_equal(presets.builtin_network("linear8")[1], compiled_chain8())
+
+
+def test_non_square_matrix_is_not_unitary():
+    # Its rows are orthonormal, so only the shape check can reject it.
+    assert not network.is_unitary(np.eye(2, 3))
+
+
+def test_unknown_builtin_network_rejected():
+    with pytest.raises(ValueError, match="unknown builtin graph"):
+        presets.builtin_network("triangle")

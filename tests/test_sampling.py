@@ -95,7 +95,7 @@ def test_vacuum_combination_near_half():
 
 def test_criterion_3a_lhs_from_samples():
     state = chain8_state(0.30)
-    c = presets.builtin_criteria("linear8")[0]
+    c = load_config("linear8").criteria()[0]
     gains = unit_gains([c])
     batch = sample_quadratures(state, 400_000, seed=8)
     est = estimate_variance(batch, c.sides(gains))
