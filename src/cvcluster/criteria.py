@@ -1,13 +1,14 @@
 """Variance-sum inseparability tests with tunable gain factors.
 
-Each criterion pairs two quadrature combinations u and v whose variance sum,
-below a separability bound, refutes every split of the mode set that places
-the criterion's distinguished mode pair on opposite sides.  Gains are named
-slots scaling selected coefficients; setting every gain to 1 reduces u and v
-to two graph nullifiers.  Each side is affine in the gains, c(g) = c(0) + g C;
-a criterion builds that one form on first use, and :meth:`Criterion.sides`
-(the side vectors under a gain table), the optimal-gain solve and the r
-curves all read it.
+Each criterion pairs the nullifiers u and v of an edge's end modes a and b,
+after van Loock & Furusawa; their variance sum, below the separability bound
+1, refutes every split of the mode set that places a and b on opposite sides.
+A criterion holds the pair and one named gain slot per x term of u and v but
+the partner's, so it is a nullifier pair by construction; setting every gain
+to 1 gives the two graph nullifiers.  Each side is affine in the gains,
+c(g) = c(0) + g C; a criterion builds that one form on first use, and
+:meth:`Criterion.sides` (the side vectors under a gain table), the
+optimal-gain solve and the r curves all read it.
 
 :func:`gram_block` projects a covariance, or the stack K of
 :func:`cvcluster.gaussian.squeezing_terms` with cov(r) = e^{-2r} K[0] +
@@ -35,17 +36,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import graphs
-from .gaussian import (
-    GaussianState,
-    combination_vector,
-    qnl_variance,
-    quadrature_variance,
-    variance_db,
-)
+from .gaussian import GaussianState, qnl_variance, quadrature_variance, variance_db
 
 __all__ = [
     "GAIN_MODES",
-    "Term",
     "Criterion",
     "CriterionResult",
     "InseparabilityReport",
@@ -68,60 +62,46 @@ GAIN_MODES = ("unit", "optimal")
 
 
 @dataclass(frozen=True)
-class Term:
-    """One coefficient of a combination; ``gain`` names an optional scale slot."""
-
-    mode: int
-    quadrature: str
-    coefficient: float
-    gain: str | None = None
-
-
-@dataclass(frozen=True)
 class Criterion:
-    """One inseparability inequality on a nullifier pair.
+    """One van Loock–Furusawa inequality on the nullifiers of an edge's end modes.
 
-    ``bipartition`` is the mode pair (a, b) whose separation the inequality
-    refutes.  Construction checks the shape of van Loock & Furusawa: u carries
-    its only p term on a and v its only p term on b, neither p term has a gain
-    slot, u has no x term on a and v none on b, and the partner's x term (x_b
-    in u, x_a in v) has no slot.  Only a and b then enter the symplectic
-    products, and the bound does not depend on the gains.
+    With ``bipartition`` (a, b), the mode pair whose separation the inequality
+    refutes, u = p_a - x_b - sum g_s x_j over the (j, s) pairs of ``u_slots``
+    and v = p_b - x_a - sum g_s x_j over ``v_slots``: every x term but the
+    partner's carries a gain slot s, and a slot may recur.  Construction checks
+    that every mode lies in 1..n and that a, b and each side's slotted modes
+    are distinct.
     """
 
     cid: str
-    u: tuple[Term, ...]
-    v: tuple[Term, ...]
     bipartition: tuple[int, int]
     n: int
+    u_slots: tuple[tuple[int, str], ...]
+    v_slots: tuple[tuple[int, str], ...]
 
     def __post_init__(self) -> None:
         a, b = self.bipartition
-        for terms, own, partner in ((self.u, a, b), (self.v, b, a)):
-            p_terms = [(t.mode, t.gain) for t in terms if t.quadrature == "p"]
-            x_terms = [(t.mode, t.gain) for t in terms if t.quadrature == "x"]
-            if p_terms != [(own, None)] or any(
-                m == own or (m == partner and g is not None) for m, g in x_terms
-            ):
+        for slots in (self.u_slots, self.v_slots):
+            modes = [a, b, *(j for j, _ in slots)]
+            if len(set(modes)) != len(modes) or not all(1 <= m <= self.n for m in modes):
                 raise ValueError(
                     f"criterion {self.cid} is not a nullifier pair on modes {a} and {b}"
                 )
 
     @cached_property
     def gain_names(self) -> tuple[str, ...]:
-        names = {t.gain for t in self.u + self.v if t.gain is not None}
-        return tuple(sorted(names))
+        return tuple(sorted({slot for _, slot in self.u_slots + self.v_slots}))
 
     @cached_property
     def affine_form(self) -> np.ndarray:
         """Sides u, v as c(g) = c(0) + g C, stacked as B = [c(0); C]: (2, 1 + slots, 2n)."""
-
-        def vector(side, slot):
-            terms = ((t.mode, t.quadrature, t.coefficient) for t in side if t.gain == slot)
-            return combination_vector(self.n, terms)
-
-        slots = (None, *self.gain_names)
-        form = np.array([[vector(side, slot) for slot in slots] for side in (self.u, self.v)])
+        a, b = self.bipartition
+        form = np.zeros((2, 1 + len(self.gain_names), 2 * self.n))
+        for side, own, partner, slots in zip(form, (a, b), (b, a), (self.u_slots, self.v_slots)):
+            side[0, self.n + own - 1] = 1.0
+            side[0, partner - 1] = -1.0
+            for j, slot in slots:
+                side[1 + self.gain_names.index(slot), j - 1] = -1.0
         form.flags.writeable = False
         return form
 
@@ -160,21 +140,23 @@ def graph_criteria(graph: graphs.Graph, order=None, slot_names=None, ties=None) 
     slot on every x term but the partner's.  Ids default to "a-b" in sorted edge
     order and slots to "g{m}_{j}"; published labels pass ``order`` (id -> edge),
     ``slot_names`` ((m, j) -> slot of x_j in the nullifier of m) and ``ties``
-    (id -> one slot name shared by all slots of that criterion).
+    (id -> one slot name shared by all slots of that criterion).  A pair of
+    ``order`` that is not an edge of the graph raises ``ValueError``: its sides
+    would not be nullifiers.
     """
     x_modes = {nf.mode: nf.x_modes for nf in graphs.nullifiers(graph)}
     order = order or {f"{a}-{b}": (a, b) for a, b in sorted(graph.edges)}
     slot_names = slot_names or {(m, j): f"g{m}_{j}" for m in x_modes for j in x_modes[m]}
     ties = ties or {}
 
-    def side(cid: str, m: int, partner: int) -> tuple[Term, ...]:
-        return (Term(m, "p", 1.0),) + tuple(
-            Term(j, "x", -1.0, None if j == partner else ties.get(cid, slot_names[m, j]))
-            for j in x_modes[m]
-        )
+    def slots(cid: str, m: int, partner: int) -> tuple[tuple[int, str], ...]:
+        return tuple((j, ties.get(cid, slot_names[m, j])) for j in x_modes[m] if j != partner)
 
+    for cid, (a, b) in order.items():
+        if b not in x_modes.get(a, ()):
+            raise ValueError(f"criterion {cid}: modes {a} and {b} are not an edge of the graph")
     return [
-        Criterion(cid, side(cid, a, b), side(cid, b, a), (a, b), graph.n)
+        Criterion(cid, (a, b), graph.n, slots(cid, a, b), slots(cid, b, a))
         for cid, (a, b) in order.items()
     ]
 
@@ -187,18 +169,13 @@ def unit_gains(criteria: Iterable[Criterion]) -> dict[str, float]:
 def vlf_bound(criteria: Sequence[Criterion]) -> np.ndarray:
     """Separability bounds of the criteria's bipartitions (a, b), one per criterion: (C,).
 
-    Each mode contributes the symplectic product u_x v_p - u_p v_x of its
-    coefficients, and on a nullifier pair only a and b contribute, so the
-    bound is (|u_p[a] v_x[a]| + |u_x[b] v_p[b]|) / 2: exactly 1 for nullifiers.
-    No gain slot scales those four coefficients (each criterion checks this
-    when built), so the bound reads them off the ungained sides c(0).
+    A split's bound is half the sum, over its two parts, of the magnitude of
+    the part's symplectic products u_x v_p - u_p v_x.  Every criterion has
+    u = p_a - x_b - ... and v = p_b - x_a - ..., with p terms on a and b only,
+    so only a and b have nonzero products, 1 and -1 whatever the gains: the
+    bound is 1 by construction.
     """
-    bounds = []
-    for c in criteria:
-        (u_x, u_p), (v_x, v_p) = c.affine_form[:, 0].reshape(2, 2, c.n)
-        a, b = c.bipartition
-        bounds.append(0.5 * (abs(u_p[a - 1] * v_x[a - 1]) + abs(u_x[b - 1] * v_p[b - 1])))
-    return np.array(bounds, dtype=float)
+    return np.ones(len(criteria))
 
 
 def evaluate(

@@ -200,6 +200,42 @@ def test_acceptance_5_nullifier_noise_power():
     )
 
 
+def test_builtin_configs_carry_the_published_source_figures():
+    for name in ("linear8", "diamond8", "linear8_physical", "diamond8_physical"):
+        config = load_config(name)
+        assert set(config.pattern.rs) == {reference.INITIAL_SQUEEZING_R}, name
+        if name.endswith("_physical"):
+            assert config.effective_r is None, name
+            assert set(config.loss.etas) == {reference.TOTAL_EFFICIENCY}, name
+        else:
+            assert config.loss is None, name
+            assert config.effective_r == reference.EFFECTIVE_R, name
+        if name.startswith("diamond8"):
+            assert config.gains_spec == {"g_D6": reference.MEASURED_G_D6}, name
+    assert reference.TOTAL_EFFICIENCY == (
+        reference.BEAM_EFFICIENCY * reference.DETECTION_EFFICIENCY
+    )
+
+
+def test_initial_squeezing_in_db():
+    # The quoted source squeezing is -4.30 +- 0.07 dB at r = 0.50.
+    model_db = 10.0 * np.log10(np.exp(-2.0 * reference.INITIAL_SQUEEZING_R))
+    assert model_db == pytest.approx(-4.343, abs=5e-4)
+    assert abs(model_db - reference.INITIAL_SQUEEZING_DB) <= 0.07
+
+
+def test_tuned_4e_noise_power_lies_below_the_measured_pair():
+    # The model's two 4e combinations at g_D6 = 0.60 sit 0.77-0.81 dB below
+    # the measured pair: the excess noise of the strict 4e xfail above.
+    config = load_config("diamond8")
+    gains = resolve_gains(DIAMOND, config.gains_spec)
+    result = evaluate(DIAMOND, config.build_state(), gains)[4]
+    assert result.cid == "4e"
+    for model_db, measured in zip((result.u_db, result.v_db), reference.MEASURED_DB_DIAMOND_TUNED):
+        assert model_db == pytest.approx(-2.335, abs=5e-4)
+        assert 0.77 <= round(measured - model_db, 2) <= 0.81
+
+
 def test_acceptance_6_thresholds():
     lin = {c.cid: c for c in LINEAR}
     dia = {c.cid: c for c in DIAMOND}

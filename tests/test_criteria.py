@@ -14,7 +14,6 @@ from cvcluster.config import load_config, parse_config
 from cvcluster.criteria import (
     GAIN_MODES,
     Criterion,
-    Term,
     evaluate,
     full_inseparability_report,
     graph_criteria,
@@ -29,6 +28,7 @@ from cvcluster.criteria import (
 from cvcluster.gaussian import (
     LossModel,
     SqueezePattern,
+    combination_vector,
     quadrature_variance,
     squeezing_terms,
     vacuum_state,
@@ -92,25 +92,15 @@ class TestCriterionSets:
 
     def test_3a_template(self):
         c = LINEAR[0]
-        assert c.u == (Term(1, "p", 1.0), Term(2, "x", -1.0))
-        assert c.v == (Term(2, "p", 1.0), Term(1, "x", -1.0), Term(3, "x", -1.0, "g_L3"))
+        assert c.u_slots == ()
+        assert c.v_slots == ((3, "g_L3"),)
         assert c.bipartition == (1, 2)
 
     def test_4e_template(self):
         c = DIAMOND[4]
         assert c.cid == "4e"
-        assert c.u == (
-            Term(4, "p", 1.0),
-            Term(1, "x", -1.0, "g_D6"),
-            Term(2, "x", -1.0, "g_D6"),
-            Term(5, "x", -1.0),
-        )
-        assert c.v == (
-            Term(5, "p", 1.0),
-            Term(4, "x", -1.0),
-            Term(7, "x", -1.0, "g_D6"),
-            Term(8, "x", -1.0, "g_D6"),
-        )
+        assert c.u_slots == ((1, "g_D6"), (2, "g_D6"))
+        assert c.v_slots == ((7, "g_D6"), (8, "g_D6"))
         assert c.bipartition == (4, 5)
 
     @pytest.mark.parametrize("name", ["linear8", "diamond8"])
@@ -120,15 +110,26 @@ class TestCriterionSets:
         assert [c.cid for c in criteria] == list(table)
         rng = np.random.default_rng(5)
         for c, (u, v, bipartition) in zip(criteria, table.values()):
-            # Construction also checks that the published terms form a nullifier pair.
-            sides = (tuple(Term(*t) for t in side) for side in (u, v))
-            published = Criterion(c.cid, *sides, bipartition, 8)
+            a, b = bipartition
+            # The published sides are a nullifier pair: p_a - x_b - ... and
+            # p_b - x_a - ..., the partner's x term unslotted, each mode once.
+            for side, own, partner in ((u, a, b), (v, b, a)):
+                assert side[0] == (own, "p", 1.0, None), c.cid
+                assert (partner, "x", -1.0, None) in side[1:], c.cid
+                assert all(t[1:3] == ("x", -1.0) for t in side[1:]), c.cid
+                assert len({t[0] for t in side}) == len(side), c.cid
             assert c.bipartition == bipartition and c.n == 8, c.cid
-            assert c.gain_names == published.gain_names, c.cid
+            published_slots = sorted({t[3] for t in u + v if t[3] is not None})
+            assert list(c.gain_names) == published_slots, c.cid
             # Vectors, not term order: the published 4b lists x2 before x1 in v.
             slots = c.gain_names
             for gains in (unit_gains([c]), dict(zip(slots, rng.uniform(-3.0, 3.0, len(slots))))):
-                assert np.array_equal(c.sides(gains), published.sides(gains)), c.cid
+                published = [
+                    combination_vector(8, [(m, q, k * (1.0 if g is None else gains[g]))
+                                           for m, q, k, g in side])
+                    for side in (u, v)
+                ]
+                assert np.array_equal(c.sides(gains), published), c.cid
 
     def test_bipartitions(self):
         assert [c.bipartition for c in LINEAR] == [
@@ -151,8 +152,7 @@ class TestCriterionSets:
             for nf in graphs.nullifiers(graph)
         }
         for c in criteria:
-            for terms, vec in zip((c.u, c.v), c.sides(unit_gains([c]))):
-                p_mode = next(t.mode for t in terms if t.quadrature == "p")
+            for p_mode, vec in zip(c.bipartition, c.sides(unit_gains([c]))):
                 assert np.allclose(vec, nullifier_vecs[p_mode], atol=1e-14), c.cid
 
 
@@ -163,11 +163,13 @@ def test_sides_match_termwise_sum(case, data):
         st.fixed_dictionaries({name: st.floats(-5.0, 5.0) for name in unit_gains(criteria)})
     )
     for c in criteria:
+        a, b = c.bipartition
         expected = np.zeros((2, 2 * c.n))
-        for row, side in zip(expected, (c.u, c.v)):
-            for t in side:
-                column = t.mode - 1 + (c.n if t.quadrature == "p" else 0)
-                row[column] += t.coefficient * (1.0 if t.gain is None else gains[t.gain])
+        for row, own, partner, slots in zip(expected, (a, b), (b, a), (c.u_slots, c.v_slots)):
+            row[c.n + own - 1] += 1.0
+            row[partner - 1] -= 1.0
+            for j, slot in slots:
+                row[j - 1] -= gains[slot]
         assert np.array_equal(c.sides(gains), expected), c.cid
         if c.gain_names:
             missing = data.draw(st.sampled_from(c.gain_names))
@@ -203,57 +205,34 @@ class TestBound:
             evaluate([c], linear_state(0.3), {c.cid: {}})
 
 
-def nullifier_side(own, partner, partner_gain=None, p_gain=None):
-    """p_own - x_partner - x_9 with a slot on x_9, as graph_criteria builds it."""
-    return (
-        Term(own, "p", 1.0, p_gain),
-        Term(partner, "x", -1.0, partner_gain),
-        Term(9, "x", -1.0, "g"),
-    )
-
-
 class TestCriterionShape:
-    """Construction accepts only nullifier pairs, whose bound is 1 under any gains."""
-
-    def test_epr_style_pair_rejected(self):
-        # x_1 - x_2 and p_1 + p_2 certify the pair with bound 1 as well, but
-        # neither side is a nullifier: u has no p term and v has two.
-        with pytest.raises(ValueError, match="not a nullifier pair"):
-            Criterion(
-                "epr",
-                (Term(1, "x", 1.0), Term(2, "x", -1.0)),
-                (Term(1, "p", 1.0), Term(2, "p", 1.0)),
-                (1, 2),
-                n=2,
-            )
-
-    def test_gain_dependent_bound_rejected(self):
-        # The slot scales x_2, and the other side holds p_2, so the bound would
-        # move with the gain and one bound per criterion would be wrong.
-        with pytest.raises(ValueError, match="not a nullifier pair"):
-            Criterion(
-                "t",
-                (Term(1, "x", 1.0), Term(2, "x", -1.0, "g")),
-                (Term(1, "p", 1.0), Term(2, "p", 1.0)),
-                (1, 2),
-                n=2,
-            )
+    """Construction accepts only nullifier pairs, and checks them when built."""
 
     @pytest.mark.parametrize(
-        "u,v",
+        "bipartition,u_slots,v_slots",
         [
-            (nullifier_side(1, 2, partner_gain="h"), nullifier_side(2, 1)),
-            (nullifier_side(1, 2), nullifier_side(2, 1, partner_gain="h")),
-            (nullifier_side(1, 2, p_gain="h"), nullifier_side(2, 1)),
-            (nullifier_side(1, 2), nullifier_side(2, 1, p_gain="h")),
-            (nullifier_side(1, 2) + (Term(1, "x", 0.5),), nullifier_side(2, 1)),
-            (nullifier_side(3, 2), nullifier_side(2, 1)),
+            ((1, 1), (), ()),
+            ((1, 10), (), ()),
+            ((0, 2), (), ()),
+            ((1, 2), ((10, "g"),), ()),
+            ((1, 2), (), ((0, "g"),)),
+            ((1, 2), ((2, "h"), (9, "g")), ((9, "g"),)),
+            ((1, 2), ((9, "g"),), ((1, "h"), (9, "g"))),
+            ((1, 2), ((1, "h"), (9, "g")), ((9, "g"),)),
+            ((1, 2), ((9, "g"), (9, "h")), ()),
         ],
-        ids=["partner_slot_u", "partner_slot_v", "p_slot_u", "p_slot_v", "own_x", "p_off_pair"],
+        ids=["same_pair", "pair_above_n", "pair_below_1", "slot_above_n_u", "slot_below_1_v",
+             "partner_slot_u", "partner_slot_v", "own_x", "slotted_twice"],
     )
-    def test_malformed_pair_rejected(self, u, v):
+    def test_malformed_pair_rejected(self, bipartition, u_slots, v_slots):
         with pytest.raises(ValueError, match="not a nullifier pair"):
-            Criterion("t", u, v, (1, 2), n=9)
+            Criterion("t", bipartition, 9, u_slots, v_slots)
+
+    @pytest.mark.parametrize("pair", [(1, 3), (1, 4)])
+    def test_order_names_only_edges(self, pair):
+        # At the pair (1, 3) of a chain, p_1 - x_3 - g x_2 is not a nullifier.
+        with pytest.raises(ValueError, match=f"{pair[0]} and {pair[1]} are not an edge"):
+            graph_criteria(graphs.linear_chain(3), order={"x": pair})
 
 
 class TestEvaluate:
@@ -302,8 +281,7 @@ class TestEvaluate:
             vectors = presets.nullifier_vectors(graph)
             results = evaluate(criteria_set, state, resolve_gains(criteria_set, "unit"))
             for c, result in zip(criteria_set, results):
-                u_mode = next(t.mode for t in c.u if t.quadrature == "p")
-                v_mode = next(t.mode for t in c.v if t.quadrature == "p")
+                u_mode, v_mode = c.bipartition
                 expected = quadrature_variance(state, [vectors[u_mode - 1]])[0]
                 expected += quadrature_variance(state, [vectors[v_mode - 1]])[0]
                 assert result.lhs == pytest.approx(expected, abs=1e-12)
