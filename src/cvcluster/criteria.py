@@ -346,7 +346,7 @@ def _curves(criteria: list[Criterion], q: np.ndarray, rs: np.ndarray, gain_mode:
     vecs = np.ones(grams.shape[:2])
     if gain_mode == "optimal":
         vecs[:, 1:] = _solve_gains(criteria, grams)
-    return np.einsum("mi,mij,mj->m", vecs, grams, vecs).reshape(count, -1)
+    return (vecs[:, None, :] @ grams @ vecs[:, :, None]).reshape(count, -1)
 
 
 def lhs_curve(criteria, blocks, rs) -> np.ndarray:

@@ -560,6 +560,18 @@ class TestLhsCurve:
                     expected = result.lhs
                     assert abs(curve_lhs - expected) <= 1e-12 * max(1.0, expected), c.cid
 
+    def test_a_stacked_row_reads_the_bits_of_a_stack_of_one(self):
+        # 3a and 3g both have one slot, so lhs_curve stacks them.  Under this
+        # per-mode loss, a contraction that sums over the stack in its own
+        # order rounds 3a's stacked row one ulp away from 3a alone.
+        loss = LossModel((1.0, 0.5, 0.96875, 1.0, 1.0, 1.0, 1.0, 1.0))
+        terms = squeezing_terms(presets.builtin_network("linear8")[1], ORIENTATIONS, loss)
+        pair = [LINEAR[0], LINEAR[6]]
+        assert [c.cid for c in pair] == ["3a", "3g"]
+        stacked = lhs_curve(pair, gram_block(pair, terms), [0.5])
+        alone = lhs_curve(pair[:1], gram_block(pair[:1], terms), [0.5])
+        assert np.array_equal(stacked[:, :1], alone)
+
     def test_a_failed_gain_solve_in_a_stack_names_its_criteria(self):
         # 4c and 4d both have 3 slots.
         group = DIAMOND[2:4]
