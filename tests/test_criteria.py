@@ -561,9 +561,9 @@ class TestLhsCurve:
                     assert abs(curve_lhs - expected) <= 1e-12 * max(1.0, expected), c.cid
 
     def test_a_stacked_row_reads_the_bits_of_a_stack_of_one(self):
-        # 3a and 3g both have one slot, so lhs_curve stacks them.  Under this
-        # per-mode loss, a contraction that sums over the stack in its own
-        # order rounds 3a's stacked row one ulp away from 3a alone.
+        # 3a and 3g both have one slot, so lhs_curve stacks them.  This loss
+        # and r are a case where a contraction that depends on the stack
+        # rounds 3a's row one ulp away from 3a alone.
         loss = LossModel((1.0, 0.5, 0.96875, 1.0, 1.0, 1.0, 1.0, 1.0))
         terms = squeezing_terms(presets.builtin_network("linear8")[1], ORIENTATIONS, loss)
         pair = [LINEAR[0], LINEAR[6]]

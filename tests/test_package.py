@@ -1,8 +1,8 @@
 """Each public name has one import path: the module that defines it.
 
 The package namespace holds only ``__version__`` and the submodules that were
-imported, so importing one module loads no other, and each module's
-``__all__`` is the list of its public names.
+imported, so importing one module loads no other, and every name in a
+module's ``__all__`` is bound on that module.
 """
 
 import importlib
